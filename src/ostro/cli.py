@@ -56,7 +56,13 @@ def format_sci(x: Fraction, sig: int, rounding: str) -> str:
 
 
 def render_interval(vr: ValidatedReal, sig: int = 30) -> tuple[str, str]:
-    """Outward decimal endpoints; refined first when the value allows it."""
+    """Outward decimal endpoints of vr, rounded to `sig` digits.
+
+    vr is first refined to a width of about 10^-(sig+3) relative to its
+    size.  When that width is out of reach (refinement raises
+    PrecisionError, e.g. a leaf is a fixed decimal interval), the
+    enclosure vr already holds is printed instead; both contain the value.
+    """
     scale = max(abs(vr.lo), abs(vr.hi), Fraction(1, 10**40))
     try:
         vr = vr.refined(scale / 10 ** (sig + 3))

@@ -76,10 +76,6 @@ class _QuadraticSource:
     def period(self) -> list[int]:
         return list(self._period)
 
-    def alpha_interval(self) -> tuple[Fraction, Fraction, bool]:
-        lo, hi = self.exact.enclosure(Fraction(1, 1 << 64))
-        return lo, hi, True
-
 
 def _periodic_tail_value(period: list[int]) -> QuadExt:
     """Exact value of the purely periodic continued fraction [b0; b1, ...]."""
@@ -141,10 +137,8 @@ class _TermsSource:
             return None
         return len(self._prefix) - 1
 
-    def alpha_interval(self) -> tuple[Fraction, Fraction, bool]:
-        if self.exact is not None:
-            lo, hi = self.exact.enclosure(Fraction(1, 1 << 64))
-            return lo, hi, True
+    def alpha_interval(self) -> tuple[Fraction, Fraction]:
+        """Bracket of a horizon-limited list (periodic lists are exact)."""
         # Open bracket between the last two convergents of the prefix.
         p_prev, q_prev = 1, 0
         p_cur, q_cur = self._prefix[0], 1
@@ -152,9 +146,9 @@ class _TermsSource:
             p_prev, p_cur = p_cur, a * p_cur + p_prev
             q_prev, q_cur = q_cur, a * q_cur + q_prev
         if q_prev == 0:
-            return Fraction(p_cur), Fraction(p_cur + 1), False
+            return Fraction(p_cur), Fraction(p_cur + 1)
         ends = sorted([Fraction(p_cur, q_cur), Fraction(p_prev, q_prev)])
-        return ends[0], ends[1], False
+        return ends[0], ends[1]
 
 
 class _DecimalSource:
@@ -205,8 +199,8 @@ class _DecimalSource:
     def horizon(self) -> Optional[int]:
         return len(self._quots) - 1
 
-    def alpha_interval(self) -> tuple[Fraction, Fraction, bool]:
-        return self.lo, self.hi, False
+    def alpha_interval(self) -> tuple[Fraction, Fraction]:
+        return self.lo, self.hi
 
 
 class ContinuedFraction:
@@ -260,7 +254,7 @@ class ContinuedFraction:
             if exact is not None:
                 self._alpha_vr = ValidatedReal.from_quadratic(exact)
             else:
-                lo, hi, _ = self._source.alpha_interval()
+                lo, hi = self._source.alpha_interval()
                 self._alpha_vr = ValidatedReal(lo, hi)
         return self._alpha_vr
 

@@ -120,19 +120,14 @@ class ApproxPair:
     cap_used: int
 
 
-def expansion_for(cf: ContinuedFraction, gamma: GenericGamma,
-                  depth: int) -> RealOstrowski:
-    return ostrowski_real(cf, gamma.value, depth)
-
-
 def _expansion_with_margin(cf: ContinuedFraction, gamma: GenericGamma,
                            i: int) -> RealOstrowski:
     """Depth i plus headroom; interval gammas fall back to the minimum
     depth the base pair needs before giving up."""
     try:
-        return expansion_for(cf, gamma, i + EXPANSION_DEPTH_MARGIN)
+        return ostrowski_real(cf, gamma.value, i + EXPANSION_DEPTH_MARGIN)
     except PrecisionError:
-        return expansion_for(cf, gamma, i)
+        return ostrowski_real(cf, gamma.value, i)
 
 
 def base_pair(cf: ContinuedFraction, gamma: GammaSpec, i: int,
@@ -146,7 +141,7 @@ def base_pair(cf: ContinuedFraction, gamma: GammaSpec, i: int,
     if i < 4:
         raise DomainError("generic base pairs need index i >= 4")
     if expansion is None:
-        expansion = expansion_for(cf, gamma, i)
+        expansion = ostrowski_real(cf, gamma.value, i)
     if expansion.depth < i:
         raise DomainError("expansion too shallow for index i")
     m = -expansion.shift
@@ -286,8 +281,8 @@ def construct_sweep(cf: ContinuedFraction, gamma: GammaSpec, i_range,
     expansion = None
     if isinstance(gamma, GenericGamma) and not is_zero_gamma(gamma):
         try:
-            expansion = expansion_for(
-                cf, gamma, max(indices) + EXPANSION_DEPTH_MARGIN)
+            expansion = ostrowski_real(
+                cf, gamma.value, max(indices) + EXPANSION_DEPTH_MARGIN)
         except PrecisionError:
             expansion = None  # per-index depths; rows fail individually
     out: list[tuple[int, Union[ApproxPair, Exception]]] = []
@@ -313,8 +308,8 @@ def n0_growth_check(cf: ContinuedFraction, gamma: GammaSpec, i_range,
     indices = list(i_range)
     expansion = None
     if isinstance(gamma, GenericGamma):
-        expansion = expansion_for(cf, gamma,
-                                  max(indices) + EXPANSION_DEPTH_MARGIN)
+        expansion = ostrowski_real(cf, gamma.value,
+                                   max(indices) + EXPANSION_DEPTH_MARGIN)
     rows = []
     gamma_abs = abs(gvr.approx_float())
     for i in indices:

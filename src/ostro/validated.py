@@ -1,26 +1,38 @@
 """Validated reals: rational intervals that refuse to guess.
 
 A ValidatedReal is a rational interval [lo, hi] guaranteed to contain its
-target value, optionally refinable to any requested width and optionally
-backed by a closed form (a Fraction or a QuadExt).  Every inequality the
-library decides between real numbers goes through this type: a comparison
-either certifies an answer or raises PrecisionError.  It never rounds.
+target value.  Exact values (a Fraction or a QuadExt), fixed intervals and
+intervals with a `refiner` are leaves; every other arithmetic result is a
+node of an expression DAG over its operands.  Every inequality the library
+decides between real numbers goes through this type: a comparison either
+certifies an answer or raises PrecisionError.  It never rounds.
+
+Precision follows Ziv's strategy (ACM TOMS 17(3), 1991): refinable leaves
+are enclosed to absolute width 2^-bits, 64 bits first (which gives `lo`
+and `hi`), and an undecided question doubles the bits up to 1024.  Each
+value caches its tightest enclosure, so a chain of k nodes costs O(k)
+evaluations per doubling.
 """
 
 from __future__ import annotations
 
+import copy
+import operator
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
 from .errors import DomainError, PrecisionError
 from .quadratic import QuadExt
 
-Rat = Fraction
 Refiner = Callable[[Fraction], Tuple[Fraction, Fraction]]
 Exact = Union[Fraction, QuadExt]
+Enclosure = Tuple[Fraction, Fraction]
 
-_DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 1 << 64)
-_MAX_REFINE_ROUNDS = 96
+_START_BITS = 64
+_START_WIDTH = Fraction(1, 1 << _START_BITS)
+_MAX_BITS = 1024
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv}
 
 
 def _exact_sign(value: Exact) -> int:
@@ -34,23 +46,89 @@ def _exact_combine(op: str, a: Exact, b: Exact):
     if isinstance(a, QuadExt) and isinstance(b, QuadExt) and a.d != b.d:
         return None
     try:
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return a / b
+        return _OPS[op](a, b)
     except ZeroDivisionError:
         raise DomainError("division by an exact zero")
-    raise ValueError(op)
+
+
+def _apply(op: str, x: Enclosure, y: Optional[Enclosure] = None) -> Enclosure:
+    """Interval image of the operand enclosures under op."""
+    xl, xh = x
+    if op == "neg":
+        return -xh, -xl
+    if op == "abs":
+        if xl >= 0:
+            return xl, xh
+        if xh <= 0:
+            return -xh, -xl
+        return Fraction(0), max(-xl, xh)
+    yl, yh = y
+    if op == "add":
+        return xl + yl, xh + yh
+    if op == "sub":
+        return xl - yh, xh - yl
+    f = _OPS[op]
+    ends = (f(xl, yl), f(xl, yh), f(xh, yl), f(xh, yh))
+    return min(ends), max(ends)
+
+
+def _decide(values, test, what: str):
+    """Ziv's loop: `test` on the enclosures of `values` at rising precision.
+
+    `test` returns the answer, or None while the enclosures leave it open;
+    PrecisionError at the cap, or at once when no leaf can refine.
+    """
+    bits = _START_BITS
+    while True:
+        answer = test(*[v._enclose(bits) for v in values])
+        if answer is not None:
+            return answer
+        if bits >= _MAX_BITS or not any(v._refinable for v in values):
+            raise PrecisionError(
+                f"{what} undecidable at available precision (2^-{bits})")
+        bits *= 2
+
+
+def _lt(a: Enclosure, b: Enclosure) -> Optional[bool]:
+    if a[1] < b[0]:
+        return True
+    if a[0] >= b[1]:
+        return False
+    return None
+
+
+def _le(a: Enclosure, b: Enclosure) -> Optional[bool]:
+    if a[1] <= b[0]:
+        return True
+    if a[0] > b[1]:
+        return False
+    return None
+
+
+def _sign(e: Enclosure) -> Optional[int]:
+    lo, hi = e
+    if lo > 0 or hi < 0 or lo == hi == 0:
+        return (lo > 0) - (hi < 0)
+    return None
+
+
+def _floor(e: Enclosure) -> Optional[int]:
+    lo, hi = e
+    flo = lo.numerator // lo.denominator
+    return flo if flo == hi.numerator // hi.denominator else None
+
+
+def _nonzero(e: Enclosure) -> Optional[Enclosure]:
+    if e[0] == e[1] == 0:
+        raise DomainError("division by an exact zero")
+    return e if e[0] > 0 or e[1] < 0 else None
 
 
 class ValidatedReal:
     """Interval enclosure of a real number with certified queries."""
 
-    __slots__ = ("_exact", "_lo", "_hi", "_refiner")
+    __slots__ = ("_exact", "_lo", "_hi", "_refiner", "_op", "_args",
+                 "_cache", "_refinable")
 
     def __init__(self, lo, hi, refiner: Optional[Refiner] = None,
                  _exact: Optional[Exact] = None):
@@ -62,6 +140,10 @@ class ValidatedReal:
         self._hi = hi
         self._refiner = refiner
         self._exact = _exact
+        self._op = None
+        self._args = ()
+        self._cache = (_START_BITS, lo, hi)
+        self._refinable = refiner is not None or isinstance(_exact, QuadExt)
 
     # -- constructors --------------------------------------------------------
 
@@ -74,7 +156,7 @@ class ValidatedReal:
     def from_quadratic(cls, value: QuadExt) -> "ValidatedReal":
         if value.is_rational():
             return cls.exact_rational(value.as_fraction())
-        lo, hi = value.enclosure(_DEFAULT_ENCLOSURE_WIDTH)
+        lo, hi = value.enclosure(_START_WIDTH)
         return cls(lo, hi, _exact=value)
 
     @classmethod
@@ -86,6 +168,20 @@ class ValidatedReal:
         if isinstance(value, (int, Fraction)):
             return cls.exact_rational(value)
         raise TypeError(f"cannot interpret {value!r} as a validated real")
+
+    @classmethod
+    def _node(cls, op: str, args: tuple, lo: Fraction,
+              hi: Fraction) -> "ValidatedReal":
+        node = cls.__new__(cls)
+        node._lo = lo
+        node._hi = hi
+        node._refiner = None
+        node._exact = None
+        node._op = op
+        node._args = args
+        node._cache = (_START_BITS, lo, hi)
+        node._refinable = any(a._refinable for a in args)
+        return node
 
     # -- basic accessors -----------------------------------------------------
 
@@ -105,9 +201,6 @@ class ValidatedReal:
     def width(self) -> Fraction:
         return self._hi - self._lo
 
-    def is_exact_rational(self) -> bool:
-        return isinstance(self._exact, Fraction)
-
     def __repr__(self):
         tag = " exact" if self._exact is not None else ""
         return f"ValidatedReal[{self._lo}, {self._hi}]{tag}"
@@ -118,7 +211,37 @@ class ValidatedReal:
     def __float__(self):
         return self.approx_float()
 
-    # -- refinement ----------------------------------------------------------
+    # -- precision -------------------------------------------------------------
+
+    def _enclose(self, bits: int) -> Enclosure:
+        """Enclosure with refinable leaves at width 2^-bits (or tighter,
+        from the cache).  An explicit stack keeps long chains off the
+        recursion limit."""
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node._cache[0] >= bits or not node._refinable:
+                stack.pop()
+                continue
+            if node._op is None:
+                width = Fraction(1, 1 << bits)
+                lo, hi = (node._refiner(width) if node._refiner is not None
+                          else node._exact.enclosure(width))
+                # Intersect, so that leaf enclosures only ever shrink.
+                lo, hi = max(lo, node._cache[1]), min(hi, node._cache[2])
+                if lo > hi:
+                    raise DomainError("refiner left the enclosure it refines")
+                node._cache = (bits, lo, hi)
+            else:
+                stale = [a for a in node._args
+                         if a._cache[0] < bits and a._refinable]
+                if stale:
+                    stack.extend(stale)
+                    continue
+                node._cache = (bits, *_apply(
+                    node._op, *[a._cache[1:] for a in node._args]))
+            stack.pop()
+        return self._cache[1:]
 
     def refined(self, width) -> "ValidatedReal":
         """Enclosure of the same value with width <= the request.
@@ -133,15 +256,11 @@ class ValidatedReal:
         if isinstance(self._exact, QuadExt):
             lo, hi = self._exact.enclosure(width)
             return ValidatedReal(lo, hi, _exact=self._exact)
-        if self._refiner is not None:
-            lo, hi = self._refiner(width)
-            if hi - lo > width:
-                raise PrecisionError("refiner could not reach requested width")
-            return ValidatedReal(lo, hi, refiner=self._refiner, _exact=self._exact)
-        raise PrecisionError(
-            f"precision exhausted: width {float(self.width()):.3g} > requested")
-
-    refine = refined
+        lo, hi = _decide((self,), lambda e: e if e[1] - e[0] <= width else None,
+                         "refinement")
+        tight = copy.copy(self)
+        tight._lo, tight._hi = lo, hi
+        return tight
 
     # -- certified queries -----------------------------------------------------
 
@@ -149,19 +268,7 @@ class ValidatedReal:
         """Certified sign; 0 only when the value is exactly zero."""
         if self._exact is not None:
             return _exact_sign(self._exact)
-        cur = self
-        for _ in range(_MAX_REFINE_ROUNDS):
-            if cur._lo > 0:
-                return 1
-            if cur._hi < 0:
-                return -1
-            if cur._lo == 0 and cur._hi == 0:
-                return 0
-            w = cur.width()
-            cur = cur.refined(w / 4)
-            if cur.width() >= w:
-                break
-        raise PrecisionError("sign undecidable at available precision")
+        return _decide((self,), _sign, "sign")
 
     def _cmp_pair(self, other: "ValidatedReal", strict: bool) -> bool:
         """Certified (self < other) when strict, else (self <= other)."""
@@ -170,27 +277,7 @@ class ValidatedReal:
             if d is not None:
                 s = _exact_sign(d)
                 return s < 0 if strict else s <= 0
-        a, b = self, other
-        for _ in range(_MAX_REFINE_ROUNDS):
-            if strict:
-                if a._hi < b._lo:
-                    return True
-                if a._lo >= b._hi:
-                    return False
-            else:
-                if a._hi <= b._lo:
-                    return True
-                if a._lo > b._hi:
-                    return False
-            w = max(a.width(), b.width())
-            if w == 0:
-                # Both degenerate: endpoints decide.
-                return a._lo < b._lo if strict else a._lo <= b._lo
-            a = a.refined(w / 4)
-            b = b.refined(w / 4)
-            if max(a.width(), b.width()) >= w:
-                break
-        raise PrecisionError("comparison undecidable at available precision")
+        return _decide((self, other), _lt if strict else _le, "comparison")
 
     def __lt__(self, other):
         return self._cmp_pair(ValidatedReal.wrap(other), strict=True)
@@ -204,26 +291,12 @@ class ValidatedReal:
     def __ge__(self, other):
         return ValidatedReal.wrap(other)._cmp_pair(self, strict=False)
 
-    def contains(self, value) -> bool:
-        v = Fraction(value)
-        return self._lo <= v <= self._hi
-
     def floor(self) -> int:
         if self._exact is not None:
             if isinstance(self._exact, QuadExt):
                 return self._exact.floor()
             return self._exact.numerator // self._exact.denominator
-        cur = self
-        for _ in range(_MAX_REFINE_ROUNDS):
-            flo = cur._lo.numerator // cur._lo.denominator
-            fhi = cur._hi.numerator // cur._hi.denominator
-            if flo == fhi:
-                return flo
-            w = cur.width()
-            cur = cur.refined(w / 4)
-            if cur.width() >= w:
-                break
-        raise PrecisionError("floor undecidable at available precision")
+        return _decide((self,), _floor, "floor")
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -235,7 +308,11 @@ class ValidatedReal:
             ex = _exact_combine(op, self._exact, other._exact)
             if ex is not None:
                 return ValidatedReal.wrap(ex)
-        return _interval_binary(self, other, op)
+        divisor = (other._lo, other._hi)
+        if op == "div" and other._lo <= 0 <= other._hi:
+            divisor = _decide((other,), _nonzero, "divisor sign")
+        return ValidatedReal._node(op, (self, other),
+                                   *_apply(op, (self._lo, self._hi), divisor))
 
     def __add__(self, other):
         return self._binary(ValidatedReal.wrap(other), "add")
@@ -265,90 +342,12 @@ class ValidatedReal:
     def __neg__(self):
         if self._exact is not None:
             return ValidatedReal.wrap(-self._exact)
-        src = self
-
-        def ref(w, _src=src):
-            r = _src.refined(w)
-            return -r._hi, -r._lo
-
-        return ValidatedReal(-self._hi, -self._lo,
-                             refiner=ref if self._refiner else None)
+        return ValidatedReal._node("neg", (self,), -self._hi, -self._lo)
 
     def __abs__(self):
         if self._exact is not None:
             ex = self._exact
             s = _exact_sign(ex)
             return ValidatedReal.wrap(-ex if s < 0 else ex)
-        lo, hi = self._lo, self._hi
-        alo, ahi = _abs_endpoints(lo, hi)
-        src = self
-
-        def ref(w, _src=src):
-            r = _src.refined(w)
-            return _abs_endpoints(r._lo, r._hi)
-
-        return ValidatedReal(alo, ahi, refiner=ref if self._refiner else None)
-
-
-def _abs_endpoints(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    if lo >= 0:
-        return lo, hi
-    if hi <= 0:
-        return -hi, -lo
-    return Fraction(0), max(-lo, hi)
-
-
-def _endpoints(x: ValidatedReal, y: ValidatedReal, op: str) -> Tuple[Fraction, Fraction]:
-    if op == "add":
-        return x.lo + y.lo, x.hi + y.hi
-    if op == "sub":
-        return x.lo - y.hi, x.hi - y.lo
-    if op == "mul":
-        prods = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
-        return min(prods), max(prods)
-    if op == "div":
-        if y.lo <= 0 <= y.hi:
-            raise PrecisionError("divisor interval contains zero")
-        quots = (x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
-        return min(quots), max(quots)
-    raise ValueError(op)
-
-
-def _interval_binary(x: ValidatedReal, y: ValidatedReal, op: str) -> ValidatedReal:
-    if op == "div":
-        # Certify the divisor away from zero first, refining if needed.
-        y = _exclude_zero(y)
-    lo, hi = _endpoints(x, y, op)
-
-    def ref(width, _x=x, _y=y, _op=op):
-        a, b = _x, _y
-        l, h = _endpoints(a, b, _op)
-        for _ in range(_MAX_REFINE_ROUNDS):
-            if h - l <= width:
-                return l, h
-            wa, wb = a.width(), b.width()
-            if wa == 0 and wb == 0:
-                return l, h
-            target = max(wa, wb) / 4
-            a = a.refined(target) if wa > 0 else a
-            b = b.refined(target) if wb > 0 else b
-            l, h = _endpoints(a, b, _op)
-        raise PrecisionError("refinement stalled")
-
-    refiner = ref if (x._refiner or y._refiner or x.exact is not None
-                      or y.exact is not None) else None
-    return ValidatedReal(lo, hi, refiner=refiner)
-
-
-def _exclude_zero(y: ValidatedReal) -> ValidatedReal:
-    cur = y
-    for _ in range(_MAX_REFINE_ROUNDS):
-        if cur.lo > 0 or cur.hi < 0:
-            return cur
-        w = cur.width()
-        if w == 0:
-            raise DomainError("division by an exact zero")
-        cur = cur.refined(w / 4)
-        if cur.width() >= w:
-            break
-    raise PrecisionError("divisor sign undecidable at available precision")
+        return ValidatedReal._node("abs", (self,),
+                                   *_apply("abs", (self._lo, self._hi)))

@@ -1,8 +1,10 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 
+from ostro.cli import render_interval
 from ostro.confrac import cf_from_quadratic
 from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              SearchCaps, base_pair, construct_coprime_approx,
@@ -193,3 +195,37 @@ def test_search_caps_exhaustion_reports():
         construct_coprime_approx(GOLDEN, gamma, 5, caps=SearchCaps(max_b=1))
     res = construct_sweep(GOLDEN, gamma, [5], caps=SearchCaps(max_b=1))
     assert isinstance(res[0][1], SearchCapError)
+
+
+PI_FRAC_50 = "0.14159265358979323846264338327950288419716939937510"
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("interval-gamma sweep ran past its guard")
+
+
+def test_interval_gamma_sweep_matches_its_exact_center():
+    # A gamma known to 50 digits decides every digit the construction needs
+    # up to i = 50 (depth 74); it once hung from i = 25 on.
+    center = Fraction(PI_FRAC_50)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        rows = construct_sweep(SQRT2, parse_gamma_spec(f"dec:{PI_FRAC_50}@50"),
+                               range(5, 51))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    exact = construct_sweep(SQRT2, parse_gamma_spec(f"rat:{center}"),
+                            range(5, 51))
+    for (i, got), (_, want) in zip(rows, exact):
+        assert isinstance(got, ApproxPair), (i, got)
+        assert ((got.i, got.a, got.b, got.m, got.n, got.omega_cross,
+                 got.cap_used) == (want.i, want.a, want.b, want.m, want.n,
+                                   want.omega_cross, want.cap_used))
+        got_hi = Fraction(render_interval(got.err)[1])
+        assert got_hi >= Fraction(render_interval(want.err)[1])
+        # |n*alpha - m - gamma| is convex in gamma: the endpoints of the
+        # gamma interval bound it over the whole interval
+        for end in (center - Fraction(1, 10**50), center + Fraction(1, 10**50)):
+            assert abs(SQRT2.alpha() * got.n - got.m - end) <= got_hi

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostro.confrac import cf_from_quadratic
 from ostro.errors import (DomainError, IllegalExpansionError, PrecisionError)
@@ -235,3 +237,25 @@ def test_partial_sum_converges_to_gamma():
     partial = real_partial_sum(SQRT2, exp, 20)
     err = abs(ValidatedReal.exact_rational(gamma) - exp.shift - partial)
     assert err <= SQRT2.d_abs(19)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 30).filter(lambda d: int(d ** 0.5) ** 2 != d),
+       p=st.integers(-20, 20), q=st.integers(1, 12),
+       num=st.integers(-10**15, 10**15), den=st.integers(1, 10**12),
+       e=st.integers(20, 60), depth=st.integers(1, 60))
+def test_interval_gamma_digits_match_exact_endpoints(d, p, q, num, den, e,
+                                                     depth):
+    # Endpoint expansions take the exact path, an independent reference for
+    # the interval path: the digits of [lo, hi] are certified exactly when
+    # both endpoints share them, and refused when they do not.
+    cf = cf_from_quadratic(d, p, q)
+    center, eps = Fraction(num, den), Fraction(1, 10**e)
+    ends = [ostrowski_real(cf, center + s * eps, depth) for s in (-1, 1)]
+    interval = ValidatedReal(center - eps, center + eps)
+    if (ends[0].shift, ends[0].coeffs) == (ends[1].shift, ends[1].coeffs):
+        exp = ostrowski_real(cf, interval, depth)
+        assert (exp.shift, exp.coeffs) == (ends[0].shift, ends[0].coeffs)
+    else:
+        with pytest.raises(PrecisionError):
+            ostrowski_real(cf, interval, depth)

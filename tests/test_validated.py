@@ -97,3 +97,44 @@ def test_wrap_and_comparison_operators():
     assert r2 <= QuadExt(2, 0, 1)
     assert r2 >= QuadExt(2, 0, 1)
     assert not r2 < QuadExt(2, 0, 1)
+
+
+def test_precision_doubles_to_the_cap_then_refuses():
+    r2 = QuadExt(2, 0, 1)
+    widths = []
+
+    def refiner(w):
+        widths.append(w)
+        return r2.enclosure(w)
+
+    v = ValidatedReal(*r2.enclosure(Fraction(1, 4)), refiner=refiner)
+    # v - sqrt(2) is exactly zero but not known in closed form: no
+    # precision decides its sign.
+    with pytest.raises(PrecisionError):
+        (v - r2).sign()
+    assert widths == [Fraction(1, 2**bits) for bits in (128, 256, 512, 1024)]
+
+
+def test_long_chain_evaluates_each_node_once_per_precision():
+    r2 = QuadExt(2, 0, 1)
+    calls = []
+
+    def refiner(w):
+        calls.append(w)
+        return r2.enclosure(w)
+
+    x = ValidatedReal(*r2.enclosure(Fraction(1, 4)), refiner=refiner)
+    u = x
+    for _ in range(3000):  # deeper than the interpreter's recursion limit
+        u = x - u          # sqrt(2) again after an even number of steps
+    assert u.width() > 100
+    assert u < Fraction(3, 2) and u > Fraction(7, 5)
+    # the shared leaf is refined once, at 2^-128, for the whole chain
+    assert calls == [Fraction(1, 2**128)]
+
+
+def test_refiner_that_leaves_its_enclosure_is_rejected():
+    v = ValidatedReal(Fraction(1), Fraction(2),
+                      refiner=lambda w: (Fraction(5), Fraction(5)))
+    with pytest.raises(DomainError):
+        v < Fraction(3, 2)
