@@ -307,19 +307,6 @@ class ContinuedFraction:
         return abs(self.d_value(k))
 
 
-# -- module-level forms of the core queries ------------------------------------
-
-
-def convergents(cf: ContinuedFraction, K: int) -> list[Convergent]:
-    """Convergents of cf for k = 0..K inclusive."""
-    return cf.convergents(K)
-
-
-def alpha_value(cf: ContinuedFraction, width) -> ValidatedReal:
-    """Enclosure of alpha with width at most the request."""
-    return cf.alpha_value(width)
-
-
 # -- factories ----------------------------------------------------------------
 
 

@@ -42,8 +42,6 @@ class GenericGamma:
 
 GammaSpec = Union[LatticeGamma, GenericGamma]
 
-EXPANSION_DEPTH_MARGIN = 24
-
 
 def parse_gamma_spec(text: str) -> GammaSpec:
     """Parse `lat:l,l'` | `rat:p[/q]` | `dec:<digits>@<prec>`.
@@ -118,16 +116,6 @@ class ApproxPair:
     quality: float
     omega_cross: int
     cap_used: int
-
-
-def _expansion_with_margin(cf: ContinuedFraction, gamma: GenericGamma,
-                           i: int) -> RealOstrowski:
-    """Depth i plus headroom; interval gammas fall back to the minimum
-    depth the base pair needs before giving up."""
-    try:
-        return ostrowski_real(cf, gamma.value, i + EXPANSION_DEPTH_MARGIN)
-    except PrecisionError:
-        return ostrowski_real(cf, gamma.value, i)
 
 
 def base_pair(cf: ContinuedFraction, gamma: GammaSpec, i: int,
@@ -209,8 +197,6 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
         raise DomainError("construction requires index i >= 4")
     alpha = cf.alpha()
     gvr = gamma_value(cf, gamma)
-    if expansion is None and isinstance(gamma, GenericGamma):
-        expansion = _expansion_with_margin(cf, gamma, i)
     base = base_pair(cf, gamma, i, expansion=expansion)
     conv = cf.convergent(i)
     n0 = cross_term(base, cf, 0)
@@ -264,27 +250,25 @@ def _quality(err: ValidatedReal, n: int, c: float) -> float:
     return float(err.hi) * n_abs / scale
 
 
-def verify_theorem(pair: ApproxPair, c: float) -> float:
-    """Quality ratio err*|n|/exp(c*sqrt(log |n|)); bounded values across
-    unboundedly growing |n| witness the approximation claim."""
-    return _quality(pair.err, pair.n, c)
-
-
 def construct_sweep(cf: ContinuedFraction, gamma: GammaSpec, i_range,
                     c: float = 2.0, caps: SearchCaps = SearchCaps()
                     ) -> list[tuple[int, Union[ApproxPair, Exception]]]:
     """Run the construction across indices, never aborting the sweep.
 
-    Per-index failures are returned in place of the pair.
+    Per-index failures are returned in place of the pair.  A generic
+    gamma is expanded once, to the deepest index; if that depth cannot be
+    certified, each row expands to its own index instead.
     """
     indices = list(i_range)
+    depth = max(indices)
     expansion = None
-    if isinstance(gamma, GenericGamma) and not is_zero_gamma(gamma):
+    # Rows below index 4 fail before they read a digit.
+    if (isinstance(gamma, GenericGamma) and not is_zero_gamma(gamma)
+            and depth >= 4):
         try:
-            expansion = ostrowski_real(
-                cf, gamma.value, max(indices) + EXPANSION_DEPTH_MARGIN)
+            expansion = ostrowski_real(cf, gamma.value, depth)
         except PrecisionError:
-            expansion = None  # per-index depths; rows fail individually
+            pass  # each row expands to its own index
     out: list[tuple[int, Union[ApproxPair, Exception]]] = []
     for i in indices:
         try:
@@ -308,8 +292,7 @@ def n0_growth_check(cf: ContinuedFraction, gamma: GammaSpec, i_range,
     indices = list(i_range)
     expansion = None
     if isinstance(gamma, GenericGamma):
-        expansion = ostrowski_real(cf, gamma.value,
-                                   max(indices) + EXPANSION_DEPTH_MARGIN)
+        expansion = ostrowski_real(cf, gamma.value, max(indices))
     rows = []
     gamma_abs = abs(gvr.approx_float())
     for i in indices:

@@ -139,23 +139,6 @@ def growth_h(x, c: float) -> float:
     return g / (lg * math.log(lg))
 
 
-@dataclass(frozen=True)
-class GrowthParams:
-    """The window-sizing pair (g_c, h_c) for a fixed exponent c."""
-
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError("c must be positive")
-
-    def g(self, x) -> float:
-        return growth_g(x, self.c)
-
-    def h(self, x) -> float:
-        return growth_h(x, self.c)
-
-
 def low_omega_interval(x: int, c: float) -> tuple[int, int]:
     """The scanned interval [x, x + max(1, ceil(h_c(x)))]."""
     if x < 3:

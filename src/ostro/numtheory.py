@@ -14,7 +14,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -304,50 +303,3 @@ def omega_window(lo: int, hi: int, budget: int | None = None) -> list[int]:
                 counts[idx] += _cofactor_omega(v, b)
     return counts
 
-
-# -- deterministic prime sums for the classical spot checks -----------------
-
-_FIXED_BITS = 96
-
-
-def sum_recip_primes(x: int, exact_limit: int = 10**5) -> Fraction:
-    """Sum of 1/p over primes p <= x.
-
-    Exact rationals up to exact_limit, then 96-bit fixed point: the result
-    is identical on every platform.
-    """
-    ps = primes_up_to(x)
-    small = [int(p) for p in ps if p <= exact_limit]
-    big = [int(p) for p in ps if p > exact_limit]
-
-    def tree(terms: list[int]) -> tuple[int, int]:
-        if not terms:
-            return 0, 1
-        if len(terms) == 1:
-            return 1, terms[0]
-        mid = len(terms) // 2
-        n1, d1 = tree(terms[:mid])
-        n2, d2 = tree(terms[mid:])
-        return n1 * d2 + n2 * d1, d1 * d2
-
-    num, den = tree(small)
-    total = Fraction(num, den)
-    scale = 1 << _FIXED_BITS
-    fixed = sum(scale // p for p in big)
-    return total + Fraction(fixed, scale)
-
-
-def prod_one_minus_recip_primes(x: int, exact_limit: int = 10**5) -> Fraction:
-    """Product of (1 - 1/p) over primes p <= x, same hybrid scheme."""
-    ps = primes_up_to(x)
-    num = 1
-    den = 1
-    for p in (int(q) for q in ps if q <= exact_limit):
-        num *= p - 1
-        den *= p
-    total = Fraction(num, den)
-    scale = 1 << _FIXED_BITS
-    acc = scale
-    for p in (int(q) for q in ps if q > exact_limit):
-        acc = acc * (p - 1) // p
-    return total * Fraction(acc, scale)

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from ostro import construct
 from ostro.cli import render_interval
-from ostro.confrac import cf_from_quadratic
+from ostro.confrac import cf_from_quadratic, parse_alpha_spec
 from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              SearchCaps, base_pair, construct_coprime_approx,
                              construct_sweep, cross_term, gamma_value,
                              is_zero_gamma, n0_growth_check, parse_gamma_spec,
-                             shifted_pair, verify_theorem)
-from ostro.errors import DomainError, SearchCapError, SpecParseError
+                             shifted_pair)
+from ostro.errors import (DomainError, PrecisionError, SearchCapError,
+                          SpecParseError)
 from ostro.ostrowski import ostrowski_real
 from ostro.validated import ValidatedReal
 
@@ -161,18 +163,19 @@ def test_sweep_records_failures_without_aborting():
     assert isinstance(by_i[3], DomainError)
     assert isinstance(by_i[4], ApproxPair)
     assert isinstance(by_i[6], ApproxPair)
+    [(_, res)] = construct_sweep(SQRT2, parse_gamma_spec("rat:1/3"), [0])
+    assert isinstance(res, DomainError)
 
 
-def test_verify_theorem_values():
+def test_quality_values():
     pair = construct_coprime_approx(SQRT2, LatticeGamma(0, 0), 6)
-    q = verify_theorem(pair, 2.0)
     expected = float(pair.err.hi) * pair.n / math.exp(
         2.0 * math.sqrt(math.log(pair.n)))
-    assert q == pytest.approx(expected, rel=1e-12)
+    assert pair.quality == pytest.approx(expected, rel=1e-12)
     # n = 1 edge: the scale factor collapses to 1
-    unit = ApproxPair(0, 0, 0, 1, 1, ValidatedReal.exact_rational(
-        Fraction(2, 5)), 0.4, 0, 0)
-    assert verify_theorem(unit, 2.0) == pytest.approx(0.4)
+    unit = construct_coprime_approx(SQRT2, LatticeGamma(0, 0), 0)
+    assert unit.n == 1
+    assert unit.quality == float(unit.err.hi)
 
 
 def test_n0_growth_check():
@@ -183,6 +186,56 @@ def test_n0_growth_check():
     assert rows[-1][2] == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(DomainError):
         n0_growth_check(SQRT2, LatticeGamma(0, 0), range(6, 10))
+
+
+# sqrt(2) to 50 decimals: its quotients are certified up to a_64.
+SQRT2_DEC50 = parse_alpha_spec(
+    "dec:1.41421356237309504880168872420969807856967187537694@50")
+
+
+def test_n0_growth_check_near_the_decimal_horizon():
+    rows = n0_growth_check(SQRT2_DEC50, parse_gamma_spec("rat:1/3"),
+                           range(6, 58))
+    assert [r[0] for r in rows] == list(range(6, 58))
+
+
+def _row_key(res):
+    if isinstance(res, ApproxPair):
+        return (res.i, res.a, res.b, res.m, res.n, render_interval(res.err),
+                res.quality, res.omega_cross, res.cap_used)
+    return type(res), str(res)
+
+
+@pytest.mark.parametrize("top", [57, 69])
+def test_sweep_expands_gamma_once(monkeypatch, top):
+    gamma = parse_gamma_spec("rat:1/3")
+    calls = []
+
+    def counting_ostrowski_real(cf, value, depth):
+        calls.append(depth)
+        return ostrowski_real(cf, value, depth)
+
+    monkeypatch.setattr(construct, "ostrowski_real", counting_ostrowski_real)
+    rows = construct_sweep(SQRT2_DEC50, gamma, range(5, top + 1))
+    if top <= 64:
+        assert calls == [top]
+    else:
+        # past the certified digits each row expands to its own index once
+        assert calls == [top] + list(range(5, top + 1))
+    monkeypatch.undo()
+    for i, res in rows:
+        if i > 64:
+            assert isinstance(res, PrecisionError), (i, res)
+        elif i > 50:
+            assert isinstance(res, DomainError), (i, res)
+            assert "window endpoint too large" in str(res)
+        else:
+            assert isinstance(res, ApproxPair), (i, res)
+        try:
+            alone = construct_coprime_approx(SQRT2_DEC50, gamma, i)
+        except Exception as exc:
+            alone = exc
+        assert _row_key(res) == _row_key(alone), i
 
 
 def test_search_caps_exhaustion_reports():

@@ -3,8 +3,7 @@ from decimal import Decimal, getcontext
 
 import pytest
 
-from ostro.coprimesearch import (GrowthParams, ProgressionQuery,
-                                 count_coprime_bruteforce,
+from ostro.coprimesearch import (ProgressionQuery, count_coprime_bruteforce,
                                  count_coprime_mobius, find_coprime_shift,
                                  find_low_omega, growth_g, growth_h,
                                  low_omega_interval)
@@ -154,11 +153,8 @@ def test_growth_special_points_and_domain():
     # just above x = 1 the inner log is positive but g <= e
     with pytest.raises(DomainError):
         growth_h(1.0001, 0.1)
-    params = GrowthParams(2.0)
-    assert params.g(10**6) == growth_g(10**6, 2.0)
-    assert params.h(10**6) == growth_h(10**6, 2.0)
     with pytest.raises(DomainError):
-        GrowthParams(0.0)
+        growth_g(10**6, 0.0)
 
 
 def test_find_low_omega_examples():

