@@ -48,17 +48,16 @@ class _QuadraticSource:
         self._expand()
 
     def _expand(self):
-        seen: dict[tuple, int] = {}
+        seen: dict[QuadExt, int] = {}
         quots: list[int] = []
         state = self.exact
         while True:
-            key = (state.x, state.y)
-            if key in seen:
-                start = seen[key]
+            if state in seen:
+                start = seen[state]
                 self._prefix = quots[:start]
                 self._period = quots[start:]
                 return
-            seen[key] = len(quots)
+            seen[state] = len(quots)
             a = state.floor()
             quots.append(a)
             state = (state - a).inverse()
@@ -71,10 +70,6 @@ class _QuadraticSource:
     @property
     def horizon(self) -> Optional[int]:
         return None
-
-    @property
-    def period(self) -> list[int]:
-        return list(self._period)
 
 
 def _periodic_tail_value(period: list[int]) -> QuadExt:
@@ -244,7 +239,7 @@ class ContinuedFraction:
         return self._source.horizon
 
     def alpha_exact(self) -> Optional[QuadExt]:
-        return getattr(self._source, "exact", None)
+        return self._source.exact
 
     # -- alpha as a validated real --------------------------------------------
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .confrac import ContinuedFraction
 from .errors import SearchCapError
@@ -39,20 +38,15 @@ def approx_error(cf: ContinuedFraction, gamma, m: int, n: int) -> ValidatedReal:
     return abs(cf.alpha() * n - m - gamma)
 
 
-def _exact_target(cf: ContinuedFraction, gamma: ValidatedReal
-                  ) -> Optional[tuple[QuadExt, QuadExt]]:
-    """(alpha, gamma) as same-field QuadExt values, when available."""
+def _target(cf: ContinuedFraction, gamma: ValidatedReal):
+    """(alpha, gamma) as same-field exact values when both are exact, so
+    that t = alpha*n - gamma is a QuadExt; (cf.alpha(), gamma) otherwise."""
     alpha_q = cf.alpha_exact()
-    if alpha_q is None:
-        return None
     ex = gamma.exact
-    if ex is None:
-        return None
-    if isinstance(ex, QuadExt):
-        if ex.d != alpha_q.d:
-            return None
+    if alpha_q is not None and ex is not None and (
+            not isinstance(ex, QuadExt) or ex.d == alpha_q.d):
         return alpha_q, ex
-    return alpha_q, QuadExt(alpha_q.d, ex, 0)
+    return cf.alpha(), gamma
 
 
 def _nearest_coprime(start: int, step: int, n: int) -> int:
@@ -64,29 +58,12 @@ def _nearest_coprime(start: int, step: int, n: int) -> int:
     raise SearchCapError(f"no coprime numerator near {start} for n={n}")
 
 
-def best_coprime_at(cf: ContinuedFraction, gamma, n: int
-                    ) -> tuple[int, ValidatedReal]:
-    """The minimizing coprime m for |n*alpha - m - gamma| at a fixed n."""
-    gamma = ValidatedReal.wrap(gamma)
-    exact = _exact_target(cf, gamma)
-    if exact is not None:
-        alpha_q, gamma_q = exact
-        t = alpha_q * n - gamma_q
-        m, err = _best_at_exact(t, n)
-        return m, ValidatedReal.wrap(err)
-    t = cf.alpha() * n - gamma
-    left = _nearest_coprime(t.floor(), -1, n)
-    right = _nearest_coprime(t.floor() + 1, +1, n)
-    e_left = abs(t - left)
-    e_right = abs(t - right)
-    if e_left <= e_right:
-        return left, e_left
-    return right, e_right
-
-
-def _best_at_exact(t: QuadExt, n: int) -> tuple[int, QuadExt]:
-    left = _nearest_coprime(t.floor(), -1, n)
-    right = _nearest_coprime(t.floor() + 1, +1, n)
+def _best_at(t, n: int):
+    """The coprime m nearest to t (a QuadExt or a ValidatedReal), with
+    its error |t - m|."""
+    f = t.floor()
+    left = _nearest_coprime(f, -1, n)
+    right = _nearest_coprime(f + 1, +1, n)
     e_left = abs(t - left)
     e_right = abs(t - right)
     if e_right < e_left:
@@ -95,27 +72,23 @@ def _best_at_exact(t: QuadExt, n: int) -> tuple[int, QuadExt]:
     return left, e_left
 
 
+def best_coprime_at(cf: ContinuedFraction, gamma, n: int
+                    ) -> tuple[int, ValidatedReal]:
+    """The minimizing coprime m for |n*alpha - m - gamma| at a fixed n."""
+    alpha, gamma = _target(cf, ValidatedReal.wrap(gamma))
+    m, err = _best_at(alpha * n - gamma, n)
+    return m, ValidatedReal.wrap(err)
+
+
 def best_coprime_approx(cf: ContinuedFraction, gamma,
                         n_max: int) -> list[RecordEntry]:
     """Record sequence of strictly improving best coprime errors, n <= n_max."""
-    gamma = ValidatedReal.wrap(gamma)
+    alpha, gamma = _target(cf, ValidatedReal.wrap(gamma))
     records: list[RecordEntry] = []
-    exact = _exact_target(cf, gamma)
-    if exact is not None:
-        alpha_q, gamma_q = exact
-        t = -gamma_q
-        best: Optional[QuadExt] = None
-        for n in range(1, n_max + 1):
-            t = t + alpha_q
-            m, err = _best_at_exact(t, n)
-            if best is None or err < best:
-                best = err
-                records.append(RecordEntry(n, m, ValidatedReal.wrap(err)))
-        return records
-    best_vr: Optional[ValidatedReal] = None
+    best = None
     for n in range(1, n_max + 1):
-        m, err = best_coprime_at(cf, gamma, n)
-        if best_vr is None or err < best_vr:
-            best_vr = err
-            records.append(RecordEntry(n, m, err))
+        m, err = _best_at(alpha * n - gamma, n)
+        if best is None or err < best:
+            best = err
+            records.append(RecordEntry(n, m, ValidatedReal.wrap(err)))
     return records

@@ -1,7 +1,8 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(d)).
 
-Elements are stored as x + y*sqrt(d) with rational x, y and a fixed
-nonsquare d >= 2.  Signs, floors and comparisons are decided exactly with
+Elements are stored as (a + b*sqrt(d)) / c with integers a, b, c, c > 0
+and gcd(a, b, c) = 1, for a fixed nonsquare d >= 2, so equal values have
+equal fields.  Signs, floors and comparisons are decided exactly with
 integer arithmetic, which is what makes the continued-fraction and
 Ostrowski machinery tolerance-free for quadratic irrationals.
 """
@@ -9,7 +10,7 @@ Ostrowski machinery tolerance-free for quadratic irrationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError
 
@@ -21,40 +22,39 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def sqrt_enclosure(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(d) with width <= 2**-bits."""
-    s = isqrt(d << (2 * bits))
-    scale = 1 << bits
-    return Fraction(s, scale), Fraction(s + 1, scale)
+_set = object.__setattr__
 
 
-def _floor_linear(a: int, b: int, c: int, d: int) -> int:
-    """Exact floor((a + b*sqrt(d)) / c) for integers with c > 0, d nonsquare.
+def _fill(value: "QuadExt", d: int, a: int, b: int, c: int) -> "QuadExt":
+    """Store (a + b*sqrt(d)) / c, c != 0, in normalized form."""
+    g = gcd(a, b, c)
+    if c < 0:
+        g = -g
+    _set(value, "d", d)
+    _set(value, "a", a // g)
+    _set(value, "b", b // g)
+    _set(value, "c", c // g)
+    return value
 
-    sqrt(d) is irrational, so b*sqrt(d) is never an integer unless b = 0.
-    """
-    if b == 0:
-        return a // c
-    if b > 0:
-        fb = isqrt(b * b * d)
-    else:
-        fb = -isqrt(b * b * d) - 1
-    # a + b*sqrt(d) = (a + fb) + theta with theta in (0, 1), so the floor of
-    # the quotient is unaffected by theta when c > 0.
-    return (a + fb) // c
+
+def _new(d: int, a: int, b: int, c: int) -> "QuadExt":
+    """An operation's result; d was checked when the field was entered."""
+    return _fill(object.__new__(QuadExt), d, a, b, c)
 
 
 class QuadExt:
-    """An element x + y*sqrt(d) of Q(sqrt(d)), immutable."""
+    """An element (a + b*sqrt(d)) / c of Q(sqrt(d)), immutable."""
 
-    __slots__ = ("d", "x", "y")
+    __slots__ = ("d", "a", "b", "c")
 
     def __init__(self, d: int, x, y):
+        """x + y*sqrt(d) for rational x, y."""
         if d < 2 or is_square(d):
             raise DomainError(f"d must be a nonsquare integer >= 2, got {d}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        x = Fraction(x)
+        y = Fraction(y)
+        _fill(self, d, x.numerator * y.denominator,
+              y.numerator * x.denominator, x.denominator * y.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -62,143 +62,146 @@ class QuadExt:
     # -- structure ---------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.y == 0
+        return self.b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.y != 0:
+        if self.b != 0:
             raise DomainError("value is irrational")
-        return self.x
+        return Fraction(self.a, self.c)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 return NotImplemented
-            return self.x == other.x and self.y == other.y
+            return (self.a == other.a and self.b == other.b
+                    and self.c == other.c)
         if isinstance(other, (int, Fraction)):
-            return self.y == 0 and self.x == other
+            return (self.b == 0 and self.a == other.numerator
+                    and self.c == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.y == 0:
-            return hash(self.x)
-        return hash((self.d, self.x, self.y))
+        if self.b == 0:
+            return hash(Fraction(self.a, self.c))
+        return hash((self.d, self.a, self.b, self.c))
 
     def __repr__(self):
-        return f"QuadExt({self.x} + {self.y}*sqrt({self.d}))"
+        return f"QuadExt(({self.a} + {self.b}*sqrt({self.d}))/{self.c})"
 
     # -- ring / field operations -------------------------------------------
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        """(a, b, c) of a same-field operand, or None for other types."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise DomainError("mixed quadratic fields")
-            return other
+            return other.a, other.b, other.c
         if isinstance(other, (int, Fraction)):
-            return QuadExt(self.d, other, 0)
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.d, self.x + o.x, self.y + o.y)
+        a, b, c = o
+        return _new(self.d, self.a * c + a * self.c, self.b * c + b * self.c,
+                    self.c * c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(self.d, -self.x, -self.y)
+        return _new(self.d, -self.a, -self.b, self.c)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.d, self.x - o.x, self.y - o.y)
+        a, b, c = o
+        return _new(self.d, self.a * c - a * self.c, self.b * c - b * self.c,
+                    self.c * c)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.d, o.x - self.x, o.y - self.y)
+        a, b, c = o
+        return _new(self.d, a * self.c - self.a * c, b * self.c - self.b * c,
+                    self.c * c)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
-            self.d,
-            self.x * o.x + self.y * o.y * self.d,
-            self.x * o.y + self.y * o.x,
-        )
+        a, b, c = o
+        return _new(self.d, self.a * a + self.b * b * self.d,
+                    self.a * b + self.b * a, self.c * c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        # (x + y*sqrt(d))^-1 = (x - y*sqrt(d)) / (x^2 - y^2 d); the norm is
-        # nonzero for every nonzero element because sqrt(d) is irrational.
-        norm = self.x * self.x - self.y * self.y * self.d
+        # c / (a + b*sqrt(d)) = c*(a - b*sqrt(d)) / (a^2 - b^2 d); the norm
+        # is nonzero for every nonzero element because sqrt(d) is irrational.
+        norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadExt(self.d, self.x / norm, -self.y / norm)
+        return _new(self.d, self.c * self.a, -self.c * self.b, norm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _new(self.d, *o).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _new(self.d, *o) * self.inverse()
 
     # -- exact order structure ----------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        sx = (self.x > 0) - (self.x < 0)
-        sy = (self.y > 0) - (self.y < 0)
-        if sy == 0:
-            return sx
-        if sx == 0:
-            return sy
-        if sx == sy:
-            return sx
-        # Opposite signs: compare x^2 against y^2 d; equality would force
-        # sqrt(d) rational, so it cannot occur.
-        lhs = self.x * self.x
-        rhs = self.y * self.y * self.d
-        if lhs == rhs:
-            raise DomainError("nonsquare d produced a rational square root")
-        return sx if lhs > rhs else sy
+        return _sign(self.a, self.b, self.d)
+
+    def _cmp(self, other):
+        """Sign of self - other, or NotImplemented for other types."""
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, c = o
+        # Both denominators are positive, so they leave the sign alone.
+        return _sign(self.a * c - a * self.c, self.b * c - b * self.c, self.d)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
+        s = self._cmp(other)
+        return s if s is NotImplemented else s >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        if self.y == 0:
-            return self.x.numerator // self.x.denominator
-        # Clear denominators: value = (a + b*sqrt(d)) / c with c > 0.
-        c = self.x.denominator * self.y.denominator
-        a = self.x.numerator * self.y.denominator
-        b = self.y.numerator * self.x.denominator
-        return _floor_linear(a, b, c, self.d)
+        if self.b == 0:
+            return self.a // self.c
+        # b*sqrt(d) is never an integer: write it as fb + theta with
+        # theta in (0, 1); theta cannot move the floor of (a + fb)/c.
+        fb = isqrt(self.b * self.b * self.d)
+        if self.b < 0:
+            fb = -fb - 1
+        return (self.a + fb) // self.c
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -209,16 +212,34 @@ class QuadExt:
         """Rational interval [lo, hi] containing the value, hi - lo <= width."""
         if width <= 0:
             raise DomainError("width must be positive")
-        if self.y == 0:
-            return self.x, self.x
-        # Need sqrt(d) to width/|y|; pick bits so 2**-bits <= width/|y|.
-        ratio = abs(self.y) / width
-        bits = max(1, ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2)
-        slo, shi = sqrt_enclosure(self.d, bits)
-        if self.y > 0:
-            return self.x + self.y * slo, self.x + self.y * shi
-        return self.x + self.y * shi, self.x + self.y * slo
+        a, b, c = self.a, self.b, self.c
+        if b == 0:
+            value = Fraction(a, c)
+            return value, value
+        # Need sqrt(d) to width*c/|b|; the bit count is taken from the
+        # reduced ratio |b|/(c*width), so that it is a function of the value.
+        num, den = abs(b) * width.denominator, c * width.numerator
+        g = gcd(num, den)
+        bits = max(1, (num // g).bit_length() - (den // g).bit_length() + 2)
+        # floor(sqrt(d) * 2^bits) / 2^bits <= sqrt(d) < (that + 1) / 2^bits.
+        s = isqrt(self.d << (2 * bits))
+        lo, hi = (s, s + 1) if b > 0 else (s + 1, s)
+        scale = c << bits
+        return (Fraction((a << bits) + b * lo, scale),
+                Fraction((a << bits) + b * hi, scale))
 
     def __float__(self):
         lo, hi = self.enclosure(Fraction(1, 1 << 80))
         return float((lo + hi) / 2)
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d)."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sa == 0:
+        return sb
+    if sb == 0:
+        return sa
+    # Opposite signs: a^2 = b^2 d would make sqrt(d) rational.
+    return sa if a * a > b * b * d else sb

@@ -1,17 +1,17 @@
 """Validated reals: rational intervals that refuse to guess.
 
 A ValidatedReal is a rational interval [lo, hi] guaranteed to contain its
-target value.  Exact values (a Fraction or a QuadExt), fixed intervals and
-intervals with a `refiner` are leaves; every other arithmetic result is a
-node of an expression DAG over its operands.  Every inequality the library
-decides between real numbers goes through this type: a comparison either
-certifies an answer or raises PrecisionError.  It never rounds.
+target value.  Exact values (a Fraction or a QuadExt) and fixed intervals
+are leaves; every other arithmetic result is a node of an expression DAG
+over its operands.  Every inequality the library decides between real
+numbers goes through this type: a comparison either certifies an answer or
+raises PrecisionError.  It never rounds.
 
-Precision follows Ziv's strategy (ACM TOMS 17(3), 1991): refinable leaves
-are enclosed to absolute width 2^-bits, 64 bits first (which gives `lo`
-and `hi`), and an undecided question doubles the bits up to 1024.  Each
-value caches its tightest enclosure, so a chain of k nodes costs O(k)
-evaluations per doubling.
+Precision follows Ziv's strategy (ACM TOMS 17(3), 1991): irrational QuadExt
+leaves, the only refinable ones, are enclosed to absolute width 2^-bits,
+64 bits first (which gives `lo` and `hi`), and an undecided question
+doubles the bits up to 1024.  Each value caches its tightest enclosure, so
+a chain of k nodes costs O(k) evaluations per doubling.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 import copy
 import operator
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DomainError, PrecisionError
 from .quadratic import QuadExt
 
-Refiner = Callable[[Fraction], Tuple[Fraction, Fraction]]
 Exact = Union[Fraction, QuadExt]
 Enclosure = Tuple[Fraction, Fraction]
 
@@ -127,23 +126,21 @@ def _nonzero(e: Enclosure) -> Optional[Enclosure]:
 class ValidatedReal:
     """Interval enclosure of a real number with certified queries."""
 
-    __slots__ = ("_exact", "_lo", "_hi", "_refiner", "_op", "_args",
-                 "_cache", "_refinable")
+    __slots__ = ("_exact", "_lo", "_hi", "_op", "_args", "_cache",
+                 "_refinable")
 
-    def __init__(self, lo, hi, refiner: Optional[Refiner] = None,
-                 _exact: Optional[Exact] = None):
+    def __init__(self, lo, hi, _exact: Optional[Exact] = None):
         lo = Fraction(lo)
         hi = Fraction(hi)
         if lo > hi:
             raise DomainError("interval endpoints out of order")
         self._lo = lo
         self._hi = hi
-        self._refiner = refiner
         self._exact = _exact
         self._op = None
         self._args = ()
         self._cache = (_START_BITS, lo, hi)
-        self._refinable = refiner is not None or isinstance(_exact, QuadExt)
+        self._refinable = isinstance(_exact, QuadExt)
 
     # -- constructors --------------------------------------------------------
 
@@ -175,7 +172,6 @@ class ValidatedReal:
         node = cls.__new__(cls)
         node._lo = lo
         node._hi = hi
-        node._refiner = None
         node._exact = None
         node._op = op
         node._args = args
@@ -224,13 +220,11 @@ class ValidatedReal:
                 stack.pop()
                 continue
             if node._op is None:
-                width = Fraction(1, 1 << bits)
-                lo, hi = (node._refiner(width) if node._refiner is not None
-                          else node._exact.enclosure(width))
+                lo, hi = node._exact.enclosure(Fraction(1, 1 << bits))
                 # Intersect, so that leaf enclosures only ever shrink.
                 lo, hi = max(lo, node._cache[1]), min(hi, node._cache[2])
                 if lo > hi:
-                    raise DomainError("refiner left the enclosure it refines")
+                    raise DomainError("leaf enclosure left the enclosure it refines")
                 node._cache = (bits, lo, hi)
             else:
                 stale = [a for a in node._args

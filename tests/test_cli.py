@@ -1,6 +1,8 @@
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 from ostro.cli import (CONSTRUCT_HEADER, format_sci, main, render_interval)
 from ostro.validated import ValidatedReal
 
@@ -120,6 +122,24 @@ def test_construct_gamma_zero_rows(capsys):
     for line in out.strip().split("\n")[1:]:
         cells = line.split(",")
         assert cells[1] == "0" and cells[2] == "0"
+
+
+@pytest.mark.parametrize("alpha, gamma, i, row", [
+    ("quad:10,0,1", "rat:36/17", 19,
+     "19,41,1,26966570971817557,8527578495552377,"
+     "4.09185972220401796356780625291e-14,0.00191458123634,1,58"),
+    ("quad:88,0,3", "rat:4/21", 25,
+     "25,40,1,552293766758709505,176624140067542938,"
+     "1.31064816472504235982505351451e-15,0.000777784605956,1,58"),
+])
+def test_construct_quality_follows_the_first_enclosure(alpha, gamma, i, row,
+                                                       capsys):
+    # quality is computed from err's first 2^-64 enclosure, whose bit count
+    # comes from the reduced ratio |b|/(c*width); these rows move otherwise.
+    code, out, _ = run(["construct", "--alpha", alpha, "--gamma", gamma,
+                        "--i-range", f"{i}:{i}"], capsys)
+    assert code == 0
+    assert out.split("\n")[1] == row
 
 
 def test_construct_warns_on_small_c(capsys):

@@ -6,6 +6,7 @@ import pytest
 from ostro.confrac import cf_from_quadratic
 from ostro.construct import construct_sweep, parse_gamma_spec, ApproxPair
 from ostro.oracle import (approx_error, best_coprime_approx, best_coprime_at)
+from ostro.quadratic import QuadExt
 from ostro.validated import ValidatedReal
 
 import fixtures
@@ -65,6 +66,19 @@ def test_gamma_equal_alpha_gives_exact_hit():
     assert len(recs) == 1
     assert (recs[0].n, recs[0].m) == (1, 0)
     assert recs[0].err.exact == 0
+
+
+def test_gamma_from_another_field_scans_on_intervals():
+    # sqrt(3) is exact but not in Q(sqrt 2): t = n*sqrt(2) - sqrt(3) falls
+    # back to validated-real arithmetic.
+    sqrt3 = QuadExt(3, 0, 1)
+    recs = best_coprime_approx(SQRT2, ValidatedReal.from_quadratic(sqrt3), 300)
+    assert [(r.n, r.m) for r in recs] == [(1, 0), (2, 1), (9, 11), (108, 151)]
+    assert recs[0].err.exact is None
+    m, err = best_coprime_at(SQRT2, sqrt3, 17)
+    assert m == 22
+    assert float(err) == pytest.approx(abs(17 * math.sqrt(2) - 22
+                                           - math.sqrt(3)))
 
 
 def test_sandwich_against_construction():

@@ -39,14 +39,35 @@ def test_interval_comparisons_refuse_to_guess():
     assert not (v > Fraction(1, 2))
 
 
-def test_interval_refiner_chain():
-    r2 = QuadExt(2, 0, 1)
-    v = ValidatedReal(*r2.enclosure(Fraction(1, 4)),
-                      refiner=lambda w: r2.enclosure(w))
-    s = v + v  # 2*sqrt(2), interval path with composed refiner
-    assert s.exact is None
-    refined = s.refined(Fraction(1, 10**12))
-    assert refined.width() <= Fraction(1, 10**12)
+def _record_widths(monkeypatch, result=None):
+    """Log each width asked of QuadExt.enclosure from now on; with
+    `result`, return that interval instead of the true enclosure."""
+    widths = []
+    original = QuadExt.enclosure
+
+    def enclosure(self, width):
+        widths.append(width)
+        return original(self, width) if result is None else result
+
+    monkeypatch.setattr(QuadExt, "enclosure", enclosure)
+    return widths
+
+
+def _inexact_sqrt2():
+    """(leaf, node): sqrt(2) as an exact leaf, and as a node over it that
+    is not known in closed form."""
+    leaf = ValidatedReal.from_quadratic(QuadExt(2, 0, 1))
+    return leaf, leaf + ValidatedReal(0, 0)
+
+
+def test_interval_node_chain_refines(monkeypatch):
+    _, v = _inexact_sqrt2()
+    s = v + v  # 2*sqrt(2), interval path over one refinable leaf
+    assert v.exact is None and s.exact is None
+    widths = _record_widths(monkeypatch)
+    refined = s.refined(Fraction(1, 10**40))
+    assert refined.width() <= Fraction(1, 10**40)
+    assert widths == [Fraction(1, 2**128), Fraction(1, 2**256)]
     assert (s - 2).sign() == 1
     assert s < 3
 
@@ -99,42 +120,34 @@ def test_wrap_and_comparison_operators():
     assert not r2 < QuadExt(2, 0, 1)
 
 
-def test_precision_doubles_to_the_cap_then_refuses():
-    r2 = QuadExt(2, 0, 1)
-    widths = []
-
-    def refiner(w):
-        widths.append(w)
-        return r2.enclosure(w)
-
-    v = ValidatedReal(*r2.enclosure(Fraction(1, 4)), refiner=refiner)
+def test_precision_doubles_to_the_cap_then_refuses(monkeypatch):
+    leaf, v = _inexact_sqrt2()
+    widths = _record_widths(monkeypatch)
     # v - sqrt(2) is exactly zero but not known in closed form: no
     # precision decides its sign.
     with pytest.raises(PrecisionError):
-        (v - r2).sign()
+        (v - leaf).sign()
     assert widths == [Fraction(1, 2**bits) for bits in (128, 256, 512, 1024)]
 
 
-def test_long_chain_evaluates_each_node_once_per_precision():
-    r2 = QuadExt(2, 0, 1)
-    calls = []
-
-    def refiner(w):
-        calls.append(w)
-        return r2.enclosure(w)
-
-    x = ValidatedReal(*r2.enclosure(Fraction(1, 4)), refiner=refiner)
+def test_long_chain_evaluates_each_node_once_per_precision(monkeypatch):
+    _, x = _inexact_sqrt2()
     u = x
     for _ in range(3000):  # deeper than the interpreter's recursion limit
         u = x - u          # sqrt(2) again after an even number of steps
-    assert u.width() > 100
-    assert u < Fraction(3, 2) and u > Fraction(7, 5)
+    widths = _record_widths(monkeypatch)
+    # Convergents of sqrt(2) about 7e-18 below and 1.2e-18 above it: the
+    # 3001 leaf widths of 2^-64 add up to more than that.
+    below = Fraction(318281039, 225058681)
+    above = Fraction(768398401, 543339720)
+    assert u.width() > above - below
+    assert below < u < above
     # the shared leaf is refined once, at 2^-128, for the whole chain
-    assert calls == [Fraction(1, 2**128)]
+    assert widths == [Fraction(1, 2**128)]
 
 
-def test_refiner_that_leaves_its_enclosure_is_rejected():
-    v = ValidatedReal(Fraction(1), Fraction(2),
-                      refiner=lambda w: (Fraction(5), Fraction(5)))
+def test_leaf_enclosure_that_leaves_its_cache_is_rejected(monkeypatch):
+    leaf, v = _inexact_sqrt2()
+    _record_widths(monkeypatch, result=(Fraction(5), Fraction(5)))
     with pytest.raises(DomainError):
-        v < Fraction(3, 2)
+        (v - leaf).sign()
