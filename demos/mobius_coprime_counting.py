@@ -31,7 +31,7 @@ for m, n, r, s, a_max in ((3, 5, 4, 3, 40), (7, 2, 5, 9, 60),
 # omega over a short window of 15-digit integers, settled exactly by one
 # sieve pass plus cofactor analysis (prime / prime square / two primes).
 base = 10**15 + 1
-print(f"\nomega on [{base}, {base + 10}]:", omega_window(base, base + 10))
+print(f"\nomega on [{base}, {base + 10}]:", list(omega_window(base, base + 10)))
 
 # The interval that is guaranteed to contain a low-omega integer has
 # length about h_c(x); the scan finds the exact minimum.

@@ -166,21 +166,6 @@ def cross_term(base: BasePair, cf: ContinuedFraction, a: int) -> int:
     return base.n * conv.p - base.m * conv.q + sign * a
 
 
-def _omega_over_window(n0: int, sign: int, width: int) -> dict[int, int]:
-    """omega(|N_i(a)|) for a = 1..width, skipping any a with N_i(a) = 0."""
-    values = {a: n0 + sign * a for a in range(1, width + 1)}
-    pos = sorted(v for v in values.values() if v > 0)
-    neg = sorted(-v for v in values.values() if v < 0)
-    table: dict[int, int] = {}
-    for block in (pos, neg):
-        if block:
-            lo, hi = block[0], block[-1]
-            counts = omega_window(lo, hi)
-            for v in block:
-                table[v] = counts[v - lo]
-    return {a: table[abs(v)] for a, v in values.items() if v != 0}
-
-
 def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
                              c: float = 2.0,
                              caps: SearchCaps = SearchCaps(),
@@ -202,13 +187,21 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
     n0 = cross_term(base, cf, 0)
     sign = 1 if i % 2 else -1
 
-    window = max(1, math.ceil(growth_h(max(2, abs(n0)), c)))
-    omega_by_a = _omega_over_window(n0, sign, window)
-    if not omega_by_a:
+    width = max(1, math.ceil(growth_h(max(2, abs(n0)), c)))
+    # a -> |N_i(a)| for a = 1..width, skipping a zero cross term.
+    sizes = {a: abs(n0 + sign * a) for a in range(1, width + 1)
+             if n0 + sign * a}
+    if not sizes:
         raise DomainError(
             f"index {i} unusable: every cross term in the window vanishes")
-    a_pick = min(omega_by_a, key=lambda a: (omega_by_a[a], a))
-    omega_cross = omega_by_a[a_pick]
+    lo = min(sizes.values())
+    window = omega_window(lo, max(sizes.values()))
+    # Window position -> the least a that reaches it, in increasing a.
+    a_at: dict[int, int] = {}
+    for a, v in sizes.items():
+        a_at.setdefault(v - lo, a)
+    pos = window.first_least(a_at)
+    a_pick, omega_cross = a_at[pos], window[pos]
 
     m_a, n_a = shifted_pair(base, cf, a_pick, 0)
     n_cross = cross_term(base, cf, a_pick)

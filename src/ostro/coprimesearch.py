@@ -9,7 +9,8 @@ counted exactly.  A direct scan provides the independent oracle.
 The growth functions g_c(x) = 2**(c*sqrt(log x)) and
 h_c(x) = g_c(x)/(log g_c(x) * log log g_c(x)) size the search window in
 which some integer has few distinct prime factors; find_low_omega locates
-the exact minimum by exhaustive scan.
+the exact minimum, settling only the entries of the omega window that can
+decide it.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def find_low_omega(x: int, c: float,
                    budget: int | None = None) -> tuple[int, int]:
     """(N, omega(N)) minimizing omega over [x, x + ceil(h_c(x))].
 
-    Exhaustive and exact; ties resolve to the smallest N.
+    Exact; ties resolve to the smallest N.  A cofactor the budget cannot
+    settle raises FactorBudgetError only if its entry must be read.
     """
     lo, hi = low_omega_interval(x, c)
-    counts = omega_window(lo, hi, budget=budget)
-    best_idx = min(range(len(counts)), key=lambda i: (counts[i], i))
-    return lo + best_idx, counts[best_idx]
+    window = omega_window(lo, hi, budget=budget)
+    best = window.first_least(range(len(window)))
+    return lo + best, window[best]

@@ -3,9 +3,13 @@
 gcd, factorization by trial division with a sieved prime table, the
 multiplicative statistics built on it (omega, mu, phi, squarefree
 divisors), exact prime counting, and a windowed omega scan for short
-intervals of large integers.  Nothing here returns a probabilistic
-answer: the Miller-Rabin test is used only with a witness set that is
-deterministic for every integer below 3.3e24.
+intervals of large integers.  The window sieves only the primes up to
+min(budget, ceil(cbrt(hi))), so every cofactor it leaves is 1, a prime,
+a prime square or a product of two primes; a cofactor that the sieve
+bound alone cannot settle is settled when its entry is read.  Nothing
+here returns a probabilistic answer: Miller-Rabin uses the first k
+prime bases only for n below psi_k, the least strong pseudoprime to all
+of them, which makes it deterministic for every integer below 3.3e24.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import math
 import os
 import threading
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import isqrt
 
@@ -24,9 +30,14 @@ DEFAULT_FACTOR_BUDGET = 10**7
 DEFAULT_SIEVE_BUDGET = 10**8
 FACTOR_BUDGET_ENV = "OSTRO_FACTOR_BUDGET"
 
-# Witnesses proven deterministic for n < 3_317_044_064_679_887_385_961_981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# psi_k is the least strong pseudoprime to each of the first k prime
+# bases (Jaeschke 1993; Sorenson and Webster, Math. Comp. 2017), so those
+# k bases decide primality for every n < psi_k.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
 
 
 def factor_budget() -> int:
@@ -92,17 +103,18 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
+    k = bisect_right(_MR_PSI, n) + 1  # least k with n < psi_k
+    if k > len(_MR_PSI):
         raise DomainError("primality test limit exceeded")
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -214,7 +226,7 @@ def _cofactor_omega(rem: int, budget: int) -> int:
         return 1
     s = isqrt(rem)
     if s * s == rem:
-        return 1
+        return _cofactor_omega(s, budget)
     if rem <= budget**3:
         # No factor <= budget and composite: exactly two distinct primes.
         return 2
@@ -268,38 +280,100 @@ def squarefree_divisors(n: int, budget: int | None = None) -> list[int]:
     return sorted(divs)
 
 
-def omega_window(lo: int, hi: int, budget: int | None = None) -> list[int]:
-    """Exact omega(n) for every n in [lo, hi].
+def _icbrt_ceil(n: int) -> int:
+    """Least r >= 0 with r**3 >= n, for n >= 0."""
+    r = round(n ** (1 / 3))
+    while r**3 < n:
+        r += 1
+    while (r - 1) ** 3 >= n:
+        r -= 1
+    return r
 
-    One sieve pass marks every prime <= min(budget, isqrt(hi)) that has a
-    multiple in the window; the cofactors are then settled individually.
+
+class OmegaWindow(Sequence[int]):
+    """Read-only omega(n) for n in [lo, hi]; see omega_window.
+
+    Entry k is small[k] + omega(rem[k]), where small[k] counts the sieved
+    primes dividing lo + k and rem[k] is what they leave.  A cofactor
+    rem[k] >= (bound + 1)**2 is settled (and cached) on first read, so
+    its FactorBudgetError, if any, is raised only then.
+    """
+
+    def __init__(self, small: list[int], rem: list[int], bound: int):
+        self._small = small
+        self._rem = rem
+        self._bound = bound
+        self._settled: list[int | None] = [None] * len(rem)
+
+    def __len__(self) -> int:
+        return len(self._rem)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(*key.indices(len(self)))]
+        k = range(len(self))[key]  # normalizes and bounds-checks key
+        value = self._settled[k]
+        if value is None:
+            v = self._rem[k]
+            if v < (self._bound + 1) ** 2:
+                value = self._small[k] + (v > 1)
+            else:
+                value = self._small[k] + _cofactor_omega(v, self._bound)
+            self._settled[k] = value
+        return value
+
+    def first_least(self, order: Iterable[int]) -> int:
+        """The first position in `order` whose omega is least.
+
+        Every entry is at least its floor, small[k] + (rem[k] > 1).
+        Positions are read in increasing (floor, rank in order), and the
+        scan stops at the first whose floor and rank cannot beat the best
+        exact (omega, rank) so far, so only entries that can decide the
+        answer are settled.
+        """
+        ranked = list(dict.fromkeys(order))
+        if not ranked:
+            raise DomainError("first_least needs a nonempty order")
+        floors = [self._small[k] + (self._rem[k] > 1) for k in ranked]
+        best_key = best_k = None
+        # A stable sort keeps equal floors in rank order.
+        for r in sorted(range(len(ranked)), key=floors.__getitem__):
+            if best_key is not None and (floors[r], r) > best_key:
+                break
+            key = (self[ranked[r]], r)
+            if best_key is None or key < best_key:
+                best_key, best_k = key, ranked[r]
+        return best_k
+
+
+def omega_window(lo: int, hi: int, budget: int | None = None) -> OmegaWindow:
+    """Exact omega(n) for every n in [lo, hi], as a lazy read-only sequence.
+
+    One sieve pass divides out every prime <= bound = min(budget,
+    ceil(cbrt(hi))) that has a multiple in the window.  When bound**3 >=
+    hi, each cofactor left is 1, a prime, a prime square or a product of
+    two primes above bound; a cofactor below (bound + 1)**2 is 1 or prime,
+    and a larger one is settled only when its entry is read.
     """
     if lo < 1 or hi < lo:
         raise DomainError("need 1 <= lo <= hi")
     if hi >= 1 << 62:
         raise DomainError("window endpoint too large for the sieve pass")
     b = budget if budget is not None else factor_budget()
-    bound = min(b, isqrt(hi))
-    counts = [0] * (hi - lo + 1)
+    bound = min(b, _icbrt_ceil(hi))
+    width = hi - lo + 1
+    small = [0] * width
     rem = list(range(lo, hi + 1))
     ps = primes_up_to(bound)
     if ps.size:
-        first = ((lo + ps - 1) // ps) * ps
-        hits = np.flatnonzero(first <= hi)
-        for j in hits:
+        offset = (-lo) % ps  # distance from lo to p's first multiple
+        for j in np.flatnonzero(offset < width):
             p = int(ps[j])
-            start = int(first[j]) - lo
-            for idx in range(start, hi - lo + 1, p):
-                counts[idx] += 1
-                v = rem[idx]
+            for idx in range(int(offset[j]), width, p):
+                small[idx] += 1
+                v = rem[idx] // p
                 while v % p == 0:
                     v //= p
                 rem[idx] = v
-    for idx, v in enumerate(rem):
-        if v > 1:
-            if v < (bound + 1) ** 2:
-                counts[idx] += 1  # cofactor below trial square: prime
-            else:
-                counts[idx] += _cofactor_omega(v, b)
-    return counts
+    return OmegaWindow(small, rem, bound)
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ostro import construct
+from ostro import construct, numtheory
 from ostro.cli import render_interval
 from ostro.confrac import cf_from_quadratic, parse_alpha_spec
+from ostro.coprimesearch import growth_h
 from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              SearchCaps, base_pair, construct_coprime_approx,
                              construct_sweep, cross_term, gamma_value,
@@ -14,6 +15,7 @@ from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              shifted_pair)
 from ostro.errors import (DomainError, PrecisionError, SearchCapError,
                           SpecParseError)
+from ostro.numtheory import omega
 from ostro.ostrowski import ostrowski_real
 from ostro.validated import ValidatedReal
 
@@ -116,6 +118,45 @@ def test_construct_regression_sqrt2_third_i10():
     assert math.gcd(pair.m, pair.n) == 1
     q10 = SQRT2.convergent(10).q
     assert pair.err <= Fraction(1 + pair.a + pair.b, q10)
+
+
+def test_construct_picks_the_first_least_omega_shift():
+    # Small cross terms put N_i(0) inside the window, so N_i(a) changes
+    # sign and |N_i(a)| repeats; large ones keep one sign.
+    for spec, i in (("lat:5,-7", 4), ("lat:12,-17", 6), ("rat:1/1000", 8),
+                    ("rat:-1/50", 5), ("lat:-5,7", 5), ("rat:1/3", 12),
+                    ("rat:2/7", 20)):
+        gamma = parse_gamma_spec(spec)
+        base = base_pair(SQRT2, gamma, i)
+        n0 = cross_term(base, SQRT2, 0)
+        width = max(1, math.ceil(growth_h(max(2, abs(n0)), 2.0)))
+        best = min((omega(abs(cross_term(base, SQRT2, a))), a)
+                   for a in range(1, width + 1)
+                   if cross_term(base, SQRT2, a) != 0)
+        pair = construct_coprime_approx(SQRT2, gamma, i)
+        assert (pair.omega_cross, pair.a) == best
+
+
+def test_construct_settles_few_window_entries(monkeypatch):
+    primality_tests = []
+    is_prime = numtheory.is_prime
+
+    def counted(n):
+        primality_tests.append(n)
+        return is_prime(n)
+
+    widths = []
+    omega_window = construct.omega_window
+
+    def recorded(lo, hi):
+        widths.append(hi - lo + 1)
+        return omega_window(lo, hi)
+
+    monkeypatch.setattr(numtheory, "is_prime", counted)
+    monkeypatch.setattr(construct, "omega_window", recorded)
+    construct_coprime_approx(SQRT2, parse_gamma_spec("rat:1/3"), 40)
+    assert len(widths) == 1
+    assert 10 * len(primality_tests) <= widths[0]
 
 
 def test_construct_golden_lattice_i8():

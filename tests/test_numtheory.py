@@ -3,7 +3,10 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ostro import numtheory
 from ostro.errors import DomainError, FactorBudgetError
 from ostro.numtheory import (euler_phi, factor_budget, factorize, gcd,
                              is_prime, mobius, omega, omega_window,
@@ -172,9 +175,9 @@ def test_mertens_spot_checks():
 
 def test_omega_window_matches_pointwise_omega():
     lo, hi = 1, 400
-    assert omega_window(lo, hi) == [omega(n) for n in range(lo, hi + 1)]
+    assert list(omega_window(lo, hi)) == [omega(n) for n in range(lo, hi + 1)]
     base = 10**12 + 39
-    assert omega_window(base, base + 50) == \
+    assert list(omega_window(base, base + 50)) == \
         [omega(n) for n in range(base, base + 51)]
     with pytest.raises(DomainError):
         omega_window(0, 5)
@@ -185,6 +188,169 @@ def test_is_prime_spot_checks():
     assert not is_prime(1) and not is_prime(561) and not is_prime(10**12)
     # strong pseudoprime to several bases, caught by the witness set
     assert not is_prime(3215031751)
+
+
+# psi_k: the least strong pseudoprime to each of the first k prime bases
+# (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017).
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+       3474749660383, 341550071728321, 341550071728321,
+       3825123056546413051, 3825123056546413051, 3825123056546413051,
+       318665857834031151167461, 3317044064679887385961981)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_rejects_every_psi_k():
+    assert numtheory._MR_PSI == PSI
+    for k, psi in enumerate(PSI, 1):
+        # psi_k fools the first k bases, so is_prime must test more.
+        assert all(strong_probable_prime(psi, a) for a in PRIME_BASES[:k])
+        if k < len(PSI):
+            assert not is_prime(psi)
+    assert PSI[11] % 399165290221 == 0
+    with pytest.raises(DomainError):
+        is_prime(PSI[-1])
+
+
+def test_is_prime_in_every_base_range():
+    # Primality of these was checked with an independent BPSW test.
+    for p in (2**31 - 1, 10**12 + 39, 2**61 - 1, 10**20 + 39,
+              604462909807314587353111, 10**24 + 7):
+        assert is_prime(p)
+    for n in ((10**9 + 7) * (10**12 + 39), (2**31 - 1) * (10**15 + 37)):
+        assert not is_prime(n)
+
+
+def test_omega_settles_the_root_of_a_square_cofactor():
+    n = (101 * 103) ** 2
+    assert omega(n, budget=100) == 2
+    assert omega_window(n, n, budget=100)[0] == 2
+    with pytest.raises(FactorBudgetError):
+        factorize(n, budget=100)
+    # A composite root beyond budget**3 cannot be settled: refuse.
+    n = (11 * 13 * 17) ** 2
+    with pytest.raises(FactorBudgetError):
+        omega(n, budget=10)
+    with pytest.raises(FactorBudgetError):
+        omega_window(n, n, budget=10)[0]
+
+
+def test_icbrt_ceil():
+    for n in list(range(200)) + [2**61, 2**62 - 1, 10**18, 10**18 + 1]:
+        r = numtheory._icbrt_ceil(n)
+        assert r**3 >= n and (r == 0 or (r - 1) ** 3 < n)
+
+
+def brute_first_least(values, order) -> int:
+    ranked = list(dict.fromkeys(order))
+    return min(ranked, key=lambda k: (values[k], ranked.index(k)))
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+windows = settings(max_examples=30, deadline=None, derandomize=True,
+                   database=None)
+
+
+@settings(windows, max_examples=15)
+@given(hi=st.integers(2**40, 2**61), width=st.integers(1, 30),
+       data=st.data())
+def test_large_window_matches_pointwise_omega(hi, width, data):
+    lo = hi - width + 1
+    window = omega_window(lo, hi)
+    expected = [omega(n) for n in range(lo, hi + 1)]
+    order = data.draw(st.lists(st.integers(0, width - 1), min_size=1))
+    k = window.first_least(order)
+    assert k == brute_first_least(expected, order)
+    assert window[k] == expected[k]
+    assert len(window) == width
+    assert list(window) == expected
+    assert window.first_least(range(width)) == \
+        brute_first_least(expected, range(width))
+
+
+@windows
+@given(hi=st.integers(2**40, 2**61), width=st.integers(1, 40),
+       square=st.booleans(), data=st.data())
+def test_planted_two_prime_cofactors(hi, width, square, data):
+    # p, q > ceil(cbrt(hi)) + 1 >= the sieve bound, and m < cbrt(hi) is
+    # sieved away, so the cofactor of n is exactly p*q (or p*p).
+    p = next_prime(numtheory._icbrt_ceil(hi) + 2)
+    q = p if square else next_prime(p + 1)
+    m = max(1, hi // (p * q))
+    n = m * p * q
+    lo = max(1, n - data.draw(st.integers(0, width - 1)))
+    seen = []
+    settle = numtheory._cofactor_omega
+
+    def spy(rem, bound):
+        seen.append((rem, settle(rem, bound)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "_cofactor_omega", spy)
+        window = omega_window(lo, lo + width - 1)
+        values = list(window)
+    assert (p * q, 1 if square else 2) in seen
+    expected = [omega(v) for v in range(lo, lo + width)]
+    assert values == expected
+    assert values[n - lo] == omega(m) + (1 if square else 2)
+    assert window.first_least(range(width)) == \
+        brute_first_least(expected, range(width))
+
+
+def test_unread_entry_beyond_the_budget_does_not_raise():
+    # 2006 = 2*17*59 heads the window, and with budget 10 its cofactor
+    # 1003 > 10**3 cannot be settled; the prime 2011 has the lower floor,
+    # so 2006 is never read.
+    lo, hi = 2006, 2011
+    assert omega(2006) == 3 and is_prime(2011)
+    window = omega_window(lo, hi, budget=10)
+    k = window.first_least(range(len(window)))
+    assert lo + k == 2011 and window[k] == 1
+    expected = [omega(n) for n in range(lo, hi + 1)]
+    assert k == brute_first_least(expected, range(len(expected)))
+    with pytest.raises(FactorBudgetError):
+        window[0]
+
+
+@windows
+@given(lo=st.integers(2**20, 2**34), width=st.integers(1, 60),
+       budget=st.integers(2, 1000))
+def test_small_budget_minimum_is_certified_or_refused(lo, width, budget):
+    hi = lo + width - 1
+    window = omega_window(lo, hi, budget=budget)
+    expected = [omega(n) for n in range(lo, hi + 1)]
+    try:
+        k = window.first_least(range(width))
+    except FactorBudgetError:
+        k = None
+    if k is not None:
+        assert k == brute_first_least(expected, range(width))
+        assert window[k] == expected[k]
+    for j in range(width):
+        try:
+            value = window[j]
+        except FactorBudgetError:
+            continue
+        assert value == expected[j]
 
 
 def test_factor_budget_env(monkeypatch):
