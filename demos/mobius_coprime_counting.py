@@ -11,8 +11,10 @@ from ostro import (ProgressionQuery, count_coprime_bruteforce,
                    growth_h, omega, omega_window)
 
 # How many b in [1, A] make gcd(m + b*r, n + b*s) = 1?  The direct scan
-# and the inclusion-exclusion over squarefree divisors of |nr - ms|
-# agree exactly, case by case.
+# and the inclusion-exclusion over the primes of |nr - ms| agree exactly,
+# case by case.  The latter walks the subsets of those primes depth
+# first, one CRT class of bad b per subset, and drops a subtree once its
+# class has no member in [1, A].
 print("scan vs inclusion-exclusion:")
 for m, n, r, s, a_max in ((3, 5, 4, 3, 40), (7, 2, 5, 9, 60),
                           (12, 5, 7, 10, 25), (2, 1, 4, 1, 10)):

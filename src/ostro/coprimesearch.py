@@ -2,9 +2,12 @@
 integers in short intervals.
 
 count_coprime_mobius counts b in [1, A] with gcd(m+br, n+bs) = 1 by
-inclusion-exclusion over the squarefree divisors d of |nr - ms|: for each
-d the admissible b form a single residue class mod d (or none), which is
-counted exactly.  A direct scan provides the independent oracle.
+inclusion-exclusion over the primes of |nr - ms|, factored once.  Each
+prime p admits one class of bad b mod p, so a set of primes admits one
+class mod their product, glued by CRT.  A depth-first walk over the
+subsets carries (mu, modulus, residue) and drops a subtree as soon as
+its class has no member in [1, A], since every extension's class lies
+inside it.  A direct scan provides the independent oracle.
 
 The growth functions g_c(x) = 2**(c*sqrt(log x)) and
 h_c(x) = g_c(x)/(log g_c(x) * log log g_c(x)) size the search window in
@@ -19,7 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numtheory import factor_budget, gcd, omega_window, squarefree_divisors
+from .numtheory import factorize, omega_window
+# Not called here; perfbench/tracing.py hooks this name in this module.
+from .numtheory import squarefree_divisors  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -55,58 +60,34 @@ def count_coprime_bruteforce(query: ProgressionQuery) -> int:
         if math.gcd(m + b * r, n + b * s) == 1)
 
 
-def _residue_class(query: ProgressionQuery, d: int) -> int | None:
-    """The b (mod d) with d | m+br and d | n+bs, or None when unsolvable.
-
-    d is squarefree and divides nr - ms, so the two congruences are
-    compatible prime by prime and CRT glues them into one class.
-    """
-    m, n, r, s = query.m, query.n, query.r, query.s
-    res, mod = 0, 1
-    for p in _prime_parts(d):
-        if r % p == 0:
-            if m % p != 0:
-                return None
-            # First congruence holds for every b; s is invertible mod p
-            # because gcd(r, s) = 1.
-            bp = (-n * pow(s, -1, p)) % p
-        else:
-            bp = (-m * pow(r, -1, p)) % p
-        # CRT merge (mod and p are coprime: d squarefree).
-        inv = pow(mod, -1, p)
-        res = res + mod * ((bp - res) * inv % p)
-        mod *= p
-    return res % mod
-
-
-def _prime_parts(d: int) -> list[int]:
-    out = []
-    rem = d
-    f = 2
-    while f * f <= rem:
-        if rem % f == 0:
-            out.append(f)
-            while rem % f == 0:
-                rem //= f
-        f += 1
-    if rem > 1:
-        out.append(rem)
-    return out
-
-
 def count_coprime_mobius(query: ProgressionQuery,
                          budget: int | None = None) -> int:
     """Inclusion-exclusion count, exactly equal to the brute-force scan."""
-    b = budget if budget is not None else factor_budget()
-    total = 0
-    for d in squarefree_divisors(abs(query.cross), budget=b):
-        cls = _residue_class(query, d)
-        if cls is None:
-            continue
-        first = cls if cls >= 1 else d
-        hits = 0 if first > query.a_max else (query.a_max - first) // d + 1
-        mu = -1 if len(_prime_parts(d)) % 2 else 1
-        total += mu * hits
+    m, n, r, s, a_max = query.m, query.n, query.r, query.s, query.a_max
+    classes = []  # (p, least b >= 1 with p | m+br and p | n+bs)
+    for p, _ in factorize(abs(query.cross), budget).factors:
+        if r % p:
+            classes.append((p, -m * pow(r, -1, p) % p or p))
+        else:
+            # p | r and p | nr - ms force p | m (p cannot divide s as
+            # well), so p | m+br for every b; s is invertible mod p.
+            classes.append((p, -n * pow(s, -1, p) % p or p))
+    total = a_max  # the empty set of primes admits every b
+    # Depth first over the other subsets of the primes: (next prime index,
+    # mu, modulus d, least b >= 1 in the class of bad b mod d).
+    stack = [(j + 1, -1, p, first) for j, (p, first) in enumerate(classes)
+             if first <= a_max]
+    while stack:
+        i, mu, d, first = stack.pop()
+        total += mu * ((a_max - first) // d + 1)
+        for j in range(i, len(classes)):
+            p, bp = classes[j]
+            # CRT: the least b >= first with b = first (mod d), bp (mod p).
+            child = first + d * ((bp - first) * pow(d, -1, p) % p)
+            # Every extension's class lies inside the child's, so once the
+            # child has no member in [1, A] the whole subtree counts 0.
+            if child <= a_max:
+                stack.append((j + 1, -mu, d * p, child))
     return total
 
 

@@ -14,10 +14,11 @@ of them, which makes it deterministic for every integer below 3.3e24.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import isqrt
@@ -91,6 +92,15 @@ class _PrimeTable:
 
 _TABLE = _PrimeTable()
 
+# Trial division below this bound walks a plain list of Python ints.
+_SMALL_PRIME_LIMIT = 1 << 16
+_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
+
+
+@functools.cache
+def _small_primes() -> list[int]:
+    return primes_up_to(_SMALL_PRIME_LIMIT).tolist()
+
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending (shared read-only array)."""
@@ -158,39 +168,38 @@ class Factorization:
 
 
 def _trial_division(n: int, budget: int) -> tuple[list[tuple[int, int]], int]:
-    """Divide out all primes <= budget, with early primality shortcuts."""
+    """Divide out all primes <= budget; the cofactor left is 1, composite
+    or >= psi_13.  Checkpoint primality tests keep a huge prime cofactor
+    from being trial-divided by every prime in the table."""
     factors: list[tuple[int, int]] = []
     rem = n
-    # Checkpoints keep us from trial-dividing a huge prime cofactor by
-    # every prime in the table.
-    checkpoints = [10**3, 10**4, 10**5, 10**6]
-    lo = 2
-    for cp in checkpoints + [budget]:
-        hi = min(cp, budget)
-        if hi < lo:
-            continue
-        cap = isqrt(rem)
-        if cap < lo:
+    lo = 2  # every prime below lo has been divided out
+    for cp in (*_CHECKPOINTS, budget):
+        hi = min(cp, budget, isqrt(rem))
+        if hi >= lo:
+            if hi <= _SMALL_PRIME_LIMIT:
+                small = _small_primes()
+                ps = small[bisect_left(small, lo):bisect_right(small, hi)]
+            else:
+                arr = primes_up_to(hi)
+                ps = map(int, arr[np.searchsorted(arr, lo):])
+            for p in ps:
+                if p * p > rem:
+                    break
+                if rem % p == 0:
+                    e = 0
+                    while rem % p == 0:
+                        rem //= p
+                        e += 1
+                    factors.append((p, e))
+            lo = hi + 1
+        if rem < lo * lo or (rem < _MR_PSI[-1] and is_prime(rem)):
+            if rem > 1:
+                factors.append((rem, 1))
+                rem = 1
             break
-        arr = primes_up_to(min(hi, cap))
-        for p in map(int, arr[np.searchsorted(arr, lo):]):
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                factors.append((p, e))
-        lo = hi + 1
-        if rem == 1 or lo > budget:
+        if lo > budget:
             break
-        if rem < lo * lo or is_prime(rem):
-            break
-    if rem > 1 and rem < lo * lo:
-        # Trial division was exhaustive, so the cofactor is prime.
-        factors.append((rem, 1))
-        rem = 1
     return factors, rem
 
 
@@ -235,12 +244,14 @@ def _cofactor_omega(rem: int, budget: int) -> int:
 
 
 def omega(n: int, budget: int | None = None) -> int:
-    """Number of distinct prime factors; omega(1) = 0."""
+    """Number of distinct prime factors; omega(1) = 0.  Like omega_window,
+    trial-divides only to min(budget, ceil(cbrt(n)))."""
     if n < 1:
         raise DomainError("omega requires n >= 1")
     b = budget if budget is not None else factor_budget()
-    factors, rem = _trial_division(n, b)
-    return len(factors) + _cofactor_omega(rem, b)
+    bound = min(b, _icbrt_ceil(n))
+    factors, rem = _trial_division(n, bound)
+    return len(factors) + _cofactor_omega(rem, bound)
 
 
 def mobius(n: int, budget: int | None = None) -> int:

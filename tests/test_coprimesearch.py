@@ -2,6 +2,8 @@ import math
 from decimal import Decimal, getcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostro.coprimesearch import (ProgressionQuery, count_coprime_bruteforce,
                                  count_coprime_mobius, find_coprime_shift,
@@ -99,6 +101,62 @@ def test_mobius_count_with_nonpositive_starts():
                               (-4, -9, 2, 7, 25), (0, 5, 3, 2, 15)):
         q = ProgressionQuery(m, n, r, s, a_max)
         assert count_coprime_mobius(q) == count_coprime_bruteforce(q)
+
+
+SMALL_PRIMES = [p for p in range(2, 10**4)
+                if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def next_prime_below_1e8(n: int) -> int:
+    while any(n % p == 0 for p in SMALL_PRIMES if p * p <= n):
+        n += 1
+    return n
+
+
+def planted_query(primes, sign, r, s, t, a_max) -> ProgressionQuery:
+    """A query whose cross term nr - ms is sign * prod(primes)."""
+    while math.gcd(r, s) > 1:
+        s //= math.gcd(r, s)
+    cross = sign * math.prod(primes)
+    # n*r - m*s = cross: n = cross * r^-1 (mod s), shifted by t*s.
+    n = (cross * pow(r, -1, s)) % s + t * s
+    m = (n * r - cross) // s
+    q = ProgressionQuery(m, n, r, s, a_max)
+    assert q.cross == cross
+    return q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mobius_walk_matches_scan_on_planted_cross_terms(data):
+    primes = data.draw(st.lists(st.sampled_from(SMALL_PRIMES[:25])
+                                | st.sampled_from(SMALL_PRIMES),
+                                min_size=1, max_size=9, unique=True))
+    if data.draw(st.booleans()):
+        big = data.draw(st.integers(10**6 + 1, 10**7 - 10**3))
+        primes.append(next_prime_below_1e8(big))
+    # Primes of the cross term that divide r also divide m; those of
+    # r_free divide r but, as a rule, not m.
+    shared = data.draw(st.lists(st.sampled_from(primes), max_size=3,
+                                unique=True))
+    r_free = data.draw(st.integers(1, 10**3))
+    q = planted_query(primes, data.draw(st.sampled_from((1, -1))),
+                      math.prod(shared) * r_free,
+                      data.draw(st.integers(1, 10**6)),
+                      data.draw(st.integers(-10**4, 10**4)),
+                      data.draw(st.integers(1, 2000)))
+    assert all(q.m % p == 0 for p in shared)
+    assert count_coprime_mobius(q) == count_coprime_bruteforce(q)
+
+
+def test_mobius_walk_over_512_subsets():
+    # Nine primes give 2**9 classes; with A = 1 nearly every subtree is
+    # dropped at its root, and the cross term (~1.3e27) lies past psi_13.
+    primes = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051)
+    for r, s, t in ((1, 1, 0), (1009 * 7, 10**6 + 1, -3), (11, 1013, 5)):
+        for a_max in (1, 2, 40):
+            q = planted_query(primes, -1, r, s, t, a_max)
+            assert count_coprime_mobius(q) == count_coprime_bruteforce(q)
 
 
 def test_find_coprime_shift():

@@ -68,6 +68,44 @@ def test_omega_succeeds_past_the_factor_budget():
     assert omega(4 * 10000019 * 10000079, budget=10**6) == 3
 
 
+def test_products_past_psi_13_are_settled_by_trial_division():
+    # 1009 * ... * 1051 ~ 1.3e27 exceeds psi_13, where is_prime refuses,
+    # yet trial division alone factors it completely.
+    primes = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051)
+    n = math.prod(primes)
+    assert n > PSI[-1]
+    assert factorize(n).primes == primes
+    assert omega(n) == 9
+    assert mobius(n) == -1
+
+
+SMALL_PRIMES = [p for p in range(2, 10**4)
+                if all(p % q for q in range(2, math.isqrt(p) + 1))]
+# Primes between 10^4 and psi_13; primality of each was checked with an
+# independent BPSW test.
+LARGE_PRIMES = (10007, 1000003, 10**9 + 7, 2**31 - 1, 10**12 + 39,
+                10**15 + 37, 2**61 - 1, 10**18 + 3, 10**20 + 39,
+                604462909807314587353111, 10**24 + 7)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(picks=st.lists(st.sampled_from(SMALL_PRIMES[:30])
+                      | st.sampled_from(SMALL_PRIMES), max_size=40),
+       extra=st.none() | st.sampled_from(LARGE_PRIMES))
+def test_factorize_recovers_planted_factors(picks, extra):
+    planted: dict[int, int] = {}
+    n = 1
+    for p in picks:
+        if n * p > 2**128:
+            break
+        n *= p
+        planted[p] = planted.get(p, 0) + 1
+    if extra is not None:
+        n *= extra
+        planted[extra] = 1
+    assert factorize(n).factors == tuple(sorted(planted.items()))
+
+
 def test_prime_count():
     assert prime_count(1) == 0
     assert prime_count(10) == 4
@@ -314,6 +352,20 @@ def test_planted_two_prime_cofactors(hi, width, square, data):
     assert values[n - lo] == omega(m) + (1 if square else 2)
     assert window.first_least(range(width)) == \
         brute_first_least(expected, range(width))
+
+
+@windows
+@given(kind=st.sampled_from(("p*q", "p**2", "p*q*r")), x=st.integers(2, 2**20))
+def test_pointwise_omega_matches_the_window_on_planted_values(kind, x):
+    if kind == "p*q*r":
+        p = next_prime(x)
+        q = next_prime(p + 1)
+        n, expected = p * q * next_prime(q + 1), 3
+    else:
+        p = next_prime(x * 2**10)
+        q = p if kind == "p**2" else next_prime(p + 1)
+        n, expected = p * q, 1 if p == q else 2
+    assert omega(n) == omega_window(n, n)[0] == expected
 
 
 def test_unread_entry_beyond_the_budget_does_not_raise():
