@@ -207,22 +207,22 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     """Full factorization within the trial budget.
 
     Raises FactorBudgetError when the cofactor left after trial division
-    is composite and not the square of a prime.
+    is composite and not the square of a prime, and DomainError when that
+    cofactor is at least psi_13 (3.3e24), where primality is undecided.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     b = budget if budget is not None else factor_budget()
     factors, rem = _trial_division(n, b)
     if rem > 1:
-        if is_prime(rem):
-            factors.append((rem, 1))
+        s = isqrt(rem)
+        if s * s == rem and is_prime(s):
+            factors.append((s, 2))
+        elif rem >= _MR_PSI[-1]:
+            raise DomainError("primality test limit exceeded")
         else:
-            s = isqrt(rem)
-            if s * s == rem and is_prime(s):
-                factors.append((s, 2))
-            else:
-                raise FactorBudgetError(
-                    f"factor budget exceeded: composite cofactor {rem}")
+            raise FactorBudgetError(
+                f"factor budget exceeded: composite cofactor {rem}")
     factors.sort()
     return Factorization(n, tuple(factors))
 
@@ -292,13 +292,17 @@ def squarefree_divisors(n: int, budget: int | None = None) -> list[int]:
 
 
 def _icbrt_ceil(n: int) -> int:
-    """Least r >= 0 with r**3 >= n, for n >= 0."""
-    r = round(n ** (1 / 3))
-    while r**3 < n:
-        r += 1
-    while (r - 1) ** 3 >= n:
-        r -= 1
-    return r
+    """Least r >= 0 with r**3 >= n, for n >= 0 of any size."""
+    if n < 2:
+        return n
+    # Integer Newton from 2**ceil(bits/3) >= cbrt(n) descends to floor(cbrt(n)).
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            break
+        r = s
+    return r if r**3 == n else r + 1
 
 
 class OmegaWindow(Sequence[int]):

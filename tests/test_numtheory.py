@@ -292,6 +292,32 @@ def test_icbrt_ceil():
         assert r**3 >= n and (r == 0 or (r - 1) ** 3 < n)
 
 
+def test_icbrt_ceil_past_float_range():
+    # n ** (1/3) overflows above ~1.8e308 and is off by far more than 1
+    # from ~1e65 up; the integer root must not depend on it.
+    for n in (10**65, 10**80, 10**80 + 1, 2**1100, 3**999, 3**999 - 1,
+              (10**40 + 7) ** 3, (10**40 + 7) ** 3 + 1):
+        r = numtheory._icbrt_ceil(n)
+        assert r**3 >= n and (r - 1) ** 3 < n
+
+
+def test_omega_of_huge_smooth_numbers():
+    assert omega(10**80) == 2
+    assert omega(2**1100) == 1
+    assert omega(3**500 * 7**300) == 2
+
+
+def test_factorize_prime_square_cofactor_past_psi_13():
+    p = 2 * 10**12 + 3  # prime, and p**2 ~ 4e24 exceeds psi_13
+    assert is_prime(p) and p * p > PSI[-1]
+    assert factorize(p * p, budget=10**6).factors == ((p, 2),)
+    assert factorize(6 * p * p, budget=10**6).factors == \
+        ((2, 1), (3, 1), (p, 2))
+    # A cofactor past psi_13 that is not a prime square stays undecided.
+    with pytest.raises(DomainError):
+        factorize(p * (10**15 + 37), budget=10**6)
+
+
 def brute_first_least(values, order) -> int:
     ranked = list(dict.fromkeys(order))
     return min(ranked, key=lambda k: (values[k], ranked.index(k)))
