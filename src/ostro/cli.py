@@ -32,24 +32,23 @@ CONSTRUCT_HEADER = "i,a,b,m,n,err_hi,quality,omega_Nia,A_used"
 
 def format_sci(x: Fraction, sig: int, rounding: str) -> str:
     """Fraction as `sig` significant digits, rounded toward -inf or +inf."""
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return "0"
-    neg = x < 0
-    ax = -x if neg else x
-    e = len(str(ax.numerator)) - len(str(ax.denominator))
-    while ax < Fraction(10) ** e:
+    neg = num < 0
+    num = abs(num)
+    # num/den lies in [10^e, 10^(e+1)) for e = the digit-count difference,
+    # or for one less.
+    e = len(str(num)) - len(str(den))
+    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
         e -= 1
-    while ax >= Fraction(10) ** (e + 1):
-        e += 1
-    scaled = ax * Fraction(10) ** (sig - 1 - e)
-    mant = scaled.numerator // scaled.denominator
-    if mant != scaled:
-        outward = (rounding == "ceil") != neg
-        if outward:
-            mant += 1
-            if mant == 10**sig:
-                mant //= 10
-                e += 1
+    k = sig - 1 - e
+    mant, rest = divmod(num * 10 ** max(k, 0), den * 10 ** max(-k, 0))
+    if rest and (rounding == "ceil") != neg:  # round outward
+        mant += 1
+        if mant == 10**sig:
+            mant //= 10
+            e += 1
     digits = str(mant)
     body = digits[0] + "." + digits[1:]
     return f"{'-' if neg else ''}{body}e{e}"

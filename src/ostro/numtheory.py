@@ -231,11 +231,13 @@ def _cofactor_omega(rem: int, budget: int) -> int:
     """Distinct-prime count of a cofactor free of primes <= budget."""
     if rem == 1:
         return 0
-    if is_prime(rem):
-        return 1
+    # The square test comes first, as in factorize: a prime square can
+    # pass psi_13 while its root is still in is_prime's range.
     s = isqrt(rem)
     if s * s == rem:
         return _cofactor_omega(s, budget)
+    if is_prime(rem):
+        return 1
     if rem <= budget**3:
         # No factor <= budget and composite: exactly two distinct primes.
         return 2
@@ -382,9 +384,9 @@ def omega_window(lo: int, hi: int, budget: int | None = None) -> OmegaWindow:
     ps = primes_up_to(bound)
     if ps.size:
         offset = (-lo) % ps  # distance from lo to p's first multiple
-        for j in np.flatnonzero(offset < width):
-            p = int(ps[j])
-            for idx in range(int(offset[j]), width, p):
+        hits = offset < width
+        for p, start in zip(ps[hits].tolist(), offset[hits].tolist()):
+            for idx in range(start, width, p):
                 small[idx] += 1
                 v = rem[idx] // p
                 while v % p == 0:

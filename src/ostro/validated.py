@@ -11,7 +11,10 @@ Precision follows Ziv's strategy (ACM TOMS 17(3), 1991): irrational QuadExt
 leaves, the only refinable ones, are enclosed to absolute width 2^-bits,
 64 bits first (which gives `lo` and `hi`), and an undecided question
 doubles the bits up to 1024.  Each value caches its tightest enclosure, so
-a chain of k nodes costs O(k) evaluations per doubling.
+a chain of k nodes costs O(k) evaluations per doubling.  An exact leaf is
+enclosed, to 2^-64, only when an endpoint is read or an interval operand
+needs it: arithmetic between exact values stays in closed form and never
+builds an interval.
 """
 
 from __future__ import annotations
@@ -130,31 +133,32 @@ class ValidatedReal:
                  "_refinable")
 
     def __init__(self, lo, hi, _exact: Optional[Exact] = None):
+        self._exact = _exact
+        self._op = None
+        self._args = ()
+        self._refinable = isinstance(_exact, QuadExt)
+        if lo is None and _exact is not None:
+            self._cache = None  # enclosed on first read, by _start
+            return
         lo = Fraction(lo)
         hi = Fraction(hi)
         if lo > hi:
             raise DomainError("interval endpoints out of order")
         self._lo = lo
         self._hi = hi
-        self._exact = _exact
-        self._op = None
-        self._args = ()
         self._cache = (_START_BITS, lo, hi)
-        self._refinable = isinstance(_exact, QuadExt)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def exact_rational(cls, value) -> "ValidatedReal":
-        v = Fraction(value)
-        return cls(v, v, _exact=v)
+        return cls(None, None, _exact=Fraction(value))
 
     @classmethod
     def from_quadratic(cls, value: QuadExt) -> "ValidatedReal":
         if value.is_rational():
             return cls.exact_rational(value.as_fraction())
-        lo, hi = value.enclosure(_START_WIDTH)
-        return cls(lo, hi, _exact=value)
+        return cls(None, None, _exact=value)
 
     @classmethod
     def wrap(cls, value) -> "ValidatedReal":
@@ -181,13 +185,24 @@ class ValidatedReal:
 
     # -- basic accessors -----------------------------------------------------
 
+    def _start(self) -> Enclosure:
+        """(lo, hi), the first enclosure; an exact leaf computes it here,
+        on first read."""
+        if self._cache is None:
+            ex = self._exact
+            lo, hi = (ex.enclosure(_START_WIDTH) if self._refinable
+                      else (ex, ex))
+            self._lo, self._hi = lo, hi
+            self._cache = (_START_BITS, lo, hi)
+        return self._lo, self._hi
+
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return self._start()[0]
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
+        return self._start()[1]
 
     @property
     def exact(self) -> Optional[Exact]:
@@ -195,14 +210,16 @@ class ValidatedReal:
         return self._exact
 
     def width(self) -> Fraction:
-        return self._hi - self._lo
+        lo, hi = self._start()
+        return hi - lo
 
     def __repr__(self):
         tag = " exact" if self._exact is not None else ""
-        return f"ValidatedReal[{self._lo}, {self._hi}]{tag}"
+        return f"ValidatedReal[{self.lo}, {self.hi}]{tag}"
 
     def approx_float(self) -> float:
-        return float((self._lo + self._hi) / 2)
+        lo, hi = self._start()
+        return float((lo + hi) / 2)
 
     def __float__(self):
         return self.approx_float()
@@ -213,6 +230,7 @@ class ValidatedReal:
         """Enclosure with refinable leaves at width 2^-bits (or tighter,
         from the cache).  An explicit stack keeps long chains off the
         recursion limit."""
+        self._start()  # a node's operands were read when it was built
         stack = [self]
         while stack:
             node = stack[-1]
@@ -302,11 +320,11 @@ class ValidatedReal:
             ex = _exact_combine(op, self._exact, other._exact)
             if ex is not None:
                 return ValidatedReal.wrap(ex)
-        divisor = (other._lo, other._hi)
-        if op == "div" and other._lo <= 0 <= other._hi:
+        divisor = other._start()
+        if op == "div" and divisor[0] <= 0 <= divisor[1]:
             divisor = _decide((other,), _nonzero, "divisor sign")
         return ValidatedReal._node(op, (self, other),
-                                   *_apply(op, (self._lo, self._hi), divisor))
+                                   *_apply(op, self._start(), divisor))
 
     def __add__(self, other):
         return self._binary(ValidatedReal.wrap(other), "add")

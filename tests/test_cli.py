@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostro.cli import (CONSTRUCT_HEADER, format_sci, main, render_interval)
 from ostro.validated import ValidatedReal
@@ -27,6 +29,54 @@ def test_format_sci_directed_rounding():
     assert format_sci(Fraction(1, 4), 3, "ceil") == "2.50e-1"  # exact: no bump
     assert format_sci(Fraction(125), 2, "floor") == "1.2e2"
     assert format_sci(Fraction(999999, 1000), 3, "ceil") == "1.00e3"  # carry
+
+
+def _format_sci_reference(x: Fraction, sig: int, rounding: str) -> str:
+    """format_sci as it was first written: Fraction powers of ten."""
+    if x == 0:
+        return "0"
+    neg = x < 0
+    ax = -x if neg else x
+    e = len(str(ax.numerator)) - len(str(ax.denominator))
+    while ax < Fraction(10) ** e:
+        e -= 1
+    while ax >= Fraction(10) ** (e + 1):
+        e += 1
+    scaled = ax * Fraction(10) ** (sig - 1 - e)
+    mant = scaled.numerator // scaled.denominator
+    if mant != scaled:
+        outward = (rounding == "ceil") != neg
+        if outward:
+            mant += 1
+            if mant == 10**sig:
+                mant //= 10
+                e += 1
+    digits = str(mant)
+    body = digits[0] + "." + digits[1:]
+    return f"{'-' if neg else ''}{body}e{e}"
+
+
+_sign = st.sampled_from([1, -1])
+_fractions = st.one_of(
+    # numerators and denominators up to 10^80
+    st.builds(Fraction, st.integers(1, 10**80), st.integers(1, 10**80)),
+    # exact powers of ten
+    st.builds(lambda k: Fraction(10) ** k, st.integers(-60, 60)),
+    # 10^k - 1 over 10^j, whose outward bump carries into a new digit
+    st.builds(lambda k, j: Fraction(10**k - 1, 10**j),
+              st.integers(1, 60), st.integers(0, 60)),
+    # one unit below or above a power of ten
+    st.builds(lambda k, j, step: Fraction(10 ** (k + j) + step, 10**j),
+              st.integers(0, 30), st.integers(1, 50), _sign),
+)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(_fractions, _sign, st.integers(1, 40),
+       st.sampled_from(["floor", "ceil"]))
+def test_format_sci_matches_the_fraction_loop(x, sign, sig, rounding):
+    x *= sign
+    assert format_sci(x, sig, rounding) == _format_sci_reference(x, sig, rounding)
 
 
 def test_render_interval_brackets_value():

@@ -286,6 +286,14 @@ def test_omega_settles_the_root_of_a_square_cofactor():
         omega_window(n, n, budget=10)[0]
 
 
+def test_omega_of_a_prime_square_past_psi_13():
+    # p*p ~ 4e24 is past psi_13, where is_prime refuses, but its root is
+    # not: the square test must come first, as it does in factorize.
+    p = 2 * 10**12 + 3
+    assert p * p > PSI[-1]
+    assert omega(p * p) == 1 == len(factorize(p * p).factors)
+
+
 def test_icbrt_ceil():
     for n in list(range(200)) + [2**61, 2**62 - 1, 10**18, 10**18 + 1]:
         r = numtheory._icbrt_ceil(n)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ostro.confrac import parse_alpha_spec
+from ostro.construct import construct_sweep, parse_gamma_spec
 from ostro.errors import DomainError, PrecisionError
 from ostro.quadratic import QuadExt
 from ostro.validated import ValidatedReal
@@ -151,3 +153,23 @@ def test_leaf_enclosure_that_leaves_its_cache_is_rejected(monkeypatch):
     _record_widths(monkeypatch, result=(Fraction(5), Fraction(5)))
     with pytest.raises(DomainError):
         (v - leaf).sign()
+
+
+def test_exact_arithmetic_builds_no_enclosure(monkeypatch):
+    widths = _record_widths(monkeypatch)
+    v = ValidatedReal.from_quadratic(QuadExt(2, 0, 1)) * 7 - 3 - Fraction(1, 3)
+    assert v.exact is not None and widths == []
+    hi = v.hi  # the first endpoint read encloses the leaf, at 2^-64
+    assert widths == [Fraction(1, 2**64)]
+    assert v.width() == hi - v.lo  # later reads reuse it
+    assert widths == [Fraction(1, 2**64)]
+    assert (v.lo, hi) == v.exact.enclosure(Fraction(1, 2**64))
+
+
+def test_sweep_encloses_at_most_three_times_per_row(monkeypatch):
+    alpha = parse_alpha_spec("quad:2,0,1")
+    gamma = parse_gamma_spec("rat:1/3")
+    widths = _record_widths(monkeypatch)
+    rows = construct_sweep(alpha, gamma, range(5, 31))
+    assert all(not isinstance(res, Exception) for _, res in rows)
+    assert len(widths) <= 3 * len(rows)
