@@ -223,8 +223,8 @@ def _dispatch(args: argparse.Namespace) -> str:
         return run_ostrowski_real(alpha, parse_gamma_spec(args.gamma),
                                   args.depth)
     if args.verb == "construct":
-        if args.c <= 0:
-            raise SpecParseError("c must be positive")
+        if not (math.isfinite(args.c) and args.c > 0):
+            raise SpecParseError("c must be positive and finite")
         if args.c <= C_THRESHOLD:
             print(f"warning: c={args.c} is at or below 2*sqrt(log 2) "
                   f"~ {C_THRESHOLD:.4f}; the bound is only claimed above it",

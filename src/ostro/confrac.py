@@ -1,14 +1,15 @@
 """Continued fractions of irrational numbers with certified quotients.
 
-Three sources are supported:
+Two sources are supported:
 
-* exact quadratic irrationals (p + sqrt(d)) / q, expanded by iterating the
-  Gauss map in Q(sqrt(d)) with period detection;
-* explicit partial-quotient lists, optionally with a repeating period (a
-  periodic list is resolved back to an exact quadratic irrational);
-* decimal strings with a stated number of trusted digits, whose quotients
-  are certified over the whole uncertainty interval and refuse to extend
-  past the horizon where certification fails.
+* exact quadratic irrationals, expanded by iterating the Gauss map in
+  Q(sqrt(d)) with period detection.  `quad:` inputs are one; a quotient
+  list with a repeating period is solved to its exact value first;
+* certified prefixes: a finite list of quotients with a rational bracket
+  of alpha.  A quotient list without a period is bracketed by its last
+  two convergents; a decimal string with a stated number of trusted
+  digits yields the quotients certified over its whole uncertainty
+  interval.  Quotients past the prefix raise PrecisionError.
 
 Convergents carry the signed errors D_k = q_k*alpha - p_k as validated
 reals, exact whenever the source is exact.
@@ -41,161 +42,79 @@ class Convergent:
 class _QuadraticSource:
     """Quotients of an exact quadratic irrational via the Gauss map."""
 
+    horizon = None
+
     def __init__(self, value: QuadExt):
         self.exact = value
-        self._prefix: list[int] = []
-        self._period: list[int] = []
-        self._expand()
+        self.alpha = ValidatedReal.from_quadratic(value)
+        self._prefix, self._period = self._expand(value)
 
-    def _expand(self):
+    @staticmethod
+    def _expand(state: QuadExt) -> tuple[list[int], list[int]]:
+        """(prefix, period) of the quotients along the Gauss-map orbit."""
         seen: dict[QuadExt, int] = {}
         quots: list[int] = []
-        state = self.exact
-        while True:
-            if state in seen:
-                start = seen[state]
-                self._prefix = quots[:start]
-                self._period = quots[start:]
-                return
+        while state not in seen:
             seen[state] = len(quots)
             a = state.floor()
             quots.append(a)
             state = (state - a).inverse()
+        start = seen[state]
+        return quots[:start], quots[start:]
 
     def quotient(self, k: int) -> int:
         if k < len(self._prefix):
             return self._prefix[k]
         return self._period[(k - len(self._prefix)) % len(self._period)]
 
-    @property
-    def horizon(self) -> Optional[int]:
-        return None
 
+class _PrefixSource:
+    """Finitely many certified quotients of an alpha in [lo, hi]."""
 
-def _periodic_tail_value(period: list[int]) -> QuadExt:
-    """Exact value of the purely periodic continued fraction [b0; b1, ...]."""
-    p_prev, p_cur = 1, period[0]
-    q_prev, q_cur = 0, 1
-    for a in period[1:]:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    # y = (p_cur*y + p_prev) / (q_cur*y + q_prev), take the root > 1.
-    disc = (q_prev - p_cur) ** 2 + 4 * q_cur * p_prev
-    if is_square(disc):
-        raise DomainError("periodic quotient list solved to a rational value")
-    half = Fraction(p_cur - q_prev, 2 * q_cur)
-    root = QuadExt(disc, half, Fraction(1, 2 * q_cur))
-    return root
+    exact = None
 
-
-class _TermsSource:
-    """Explicit quotient list, periodic or horizon-limited."""
-
-    def __init__(self, prefix: list[int], period: Optional[list[int]]):
-        if period is not None and not period:
-            raise DomainError("period must be nonempty when given")
-        if not prefix and not period:
-            raise DomainError("need at least one partial quotient")
-        for k, a in enumerate(prefix):
-            if k >= 1 and a < 1:
-                raise DomainError("partial quotients a_k must be >= 1 for k >= 1")
-        if period is not None and any(a < 1 for a in period):
-            raise DomainError("period entries must be positive")
-        self._prefix = list(prefix)
-        self._period = list(period) if period else None
-        self.exact: Optional[QuadExt] = None
-        if self._period is not None:
-            tail = _periodic_tail_value(self._period)
-            # Fold the prefix over the exact periodic tail.
-            p_prev, q_prev = 1, 0
-            p_cur, q_cur = None, None
-            value = tail
-            if self._prefix:
-                p_cur, q_cur = self._prefix[0], 1
-                for a in self._prefix[1:]:
-                    p_prev, p_cur = p_cur, a * p_cur + p_prev
-                    q_prev, q_cur = q_cur, a * q_cur + q_prev
-                value = (tail * p_cur + p_prev) / (tail * q_cur + q_prev)
-            self.exact = value
+    def __init__(self, quots: list[int], lo: Fraction, hi: Fraction):
+        self._quots = quots
+        self.horizon = len(quots) - 1
+        self.alpha = ValidatedReal(lo, hi)
 
     def quotient(self, k: int) -> int:
-        if k < len(self._prefix):
-            return self._prefix[k]
-        if self._period is not None:
-            return self._period[(k - len(self._prefix)) % len(self._period)]
-        raise PrecisionError(
-            f"precision exhausted: quotient a_{k} beyond horizon")
-
-    @property
-    def horizon(self) -> Optional[int]:
-        if self._period is not None:
-            return None
-        return len(self._prefix) - 1
-
-    def alpha_interval(self) -> tuple[Fraction, Fraction]:
-        """Bracket of a horizon-limited list (periodic lists are exact)."""
-        # Open bracket between the last two convergents of the prefix.
-        p_prev, q_prev = 1, 0
-        p_cur, q_cur = self._prefix[0], 1
-        for a in self._prefix[1:]:
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_prev == 0:
-            return Fraction(p_cur), Fraction(p_cur + 1)
-        ends = sorted([Fraction(p_cur, q_cur), Fraction(p_prev, q_prev)])
-        return ends[0], ends[1]
-
-
-class _DecimalSource:
-    """Decimal digits with a certified-quotient horizon."""
-
-    def __init__(self, digits: str, precision: int):
-        if precision < 1:
-            raise DomainError("precision must be a positive digit count")
-        try:
-            center = Fraction(digits)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError(f"bad decimal literal {digits!r}") from exc
-        eps = Fraction(1, 10**precision)
-        self.lo = center - eps
-        self.hi = center + eps
-        self.exact = None
-        self._quots = self._certify(center, self.lo, self.hi)
-
-    @staticmethod
-    def _certify(center: Fraction, lo: Fraction, hi: Fraction) -> list[int]:
-        quots: list[int] = []
-        while True:
-            if center.denominator == 1:
-                # The literal itself terminates here: indistinguishable
-                # from a rational at the stated precision.
-                raise RationalInputError("rational input")
-            a = center.numerator // center.denominator
-            if not (a <= lo and hi < a + 1):
-                break
-            quots.append(a)
-            if lo == a:
-                break
-            center = 1 / (center - a)
-            lo, hi = 1 / (hi - a), 1 / (lo - a)
-        if not quots:
-            raise PrecisionError(
-                "precision exhausted: not even a_0 is certified")
-        return quots
-
-    def quotient(self, k: int) -> int:
-        if k < len(self._quots):
+        if k <= self.horizon:
             return self._quots[k]
         raise PrecisionError(
             f"precision exhausted: quotient a_{k} beyond horizon "
-            f"{len(self._quots) - 1}")
+            f"{self.horizon}")
 
-    @property
-    def horizon(self) -> Optional[int]:
-        return len(self._quots) - 1
 
-    def alpha_interval(self) -> tuple[Fraction, Fraction]:
-        return self.lo, self.hi
+def _last_convergents(quots: list[int]) -> tuple[int, int, int, int]:
+    """(p_prev, q_prev, p, q) of the last two convergents of `quots`,
+    seeded with p_-1/q_-1 = 1/0 and p_-2/q_-2 = 0/1."""
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for a in quots:
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+    return p_prev, q_prev, p, q
+
+
+def _certify(center: Fraction, lo: Fraction, hi: Fraction) -> list[int]:
+    """Quotients shared by every real in [lo, hi] around `center`."""
+    quots: list[int] = []
+    while True:
+        if center.denominator == 1:
+            # The literal itself terminates here: indistinguishable
+            # from a rational at the stated precision.
+            raise RationalInputError("rational input")
+        a = center.numerator // center.denominator
+        if not (a <= lo and hi < a + 1):
+            break
+        quots.append(a)
+        if lo == a:
+            break
+        center = 1 / (center - a)
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+    if not quots:
+        raise PrecisionError(
+            "precision exhausted: not even a_0 is certified")
+    return quots
 
 
 class ContinuedFraction:
@@ -210,7 +129,6 @@ class ContinuedFraction:
         self._lock = threading.Lock()
         self._quots: list[int] = []
         self._convs: list[Convergent] = []
-        self._alpha_vr: Optional[ValidatedReal] = None
 
     # -- quotients -----------------------------------------------------------
 
@@ -244,14 +162,7 @@ class ContinuedFraction:
     # -- alpha as a validated real --------------------------------------------
 
     def alpha(self) -> ValidatedReal:
-        if self._alpha_vr is None:
-            exact = self.alpha_exact()
-            if exact is not None:
-                self._alpha_vr = ValidatedReal.from_quadratic(exact)
-            else:
-                lo, hi = self._source.alpha_interval()
-                self._alpha_vr = ValidatedReal(lo, hi)
-        return self._alpha_vr
+        return self._source.alpha
 
     def alpha_value(self, width) -> ValidatedReal:
         """Enclosure of alpha with width at most the request."""
@@ -318,14 +229,51 @@ def cf_from_quadratic(d: int, p: int, q: int) -> ContinuedFraction:
 
 
 def cf_from_terms(prefix, period=None) -> ContinuedFraction:
-    """alpha from explicit partial quotients, optionally periodic."""
-    return ContinuedFraction(_TermsSource(
-        list(prefix), list(period) if period is not None else None))
+    """alpha from explicit partial quotients, optionally periodic.
+
+    A periodic list is solved to its exact quadratic value; a list
+    without a period certifies only its own quotients.
+    """
+    prefix = list(prefix)
+    if period is not None:
+        period = list(period)
+        if not period:
+            raise DomainError("period must be nonempty when given")
+    if not prefix and not period:
+        raise DomainError("need at least one partial quotient")
+    if any(a < 1 for a in prefix[1:]):
+        raise DomainError("partial quotients a_k must be >= 1 for k >= 1")
+    if period is None:
+        # alpha lies strictly between the last two convergents, or in
+        # (a0, a0 + 1) when a0 is the only quotient.
+        p_prev, q_prev, p, q = _last_convergents(prefix)
+        lo, hi = sorted((Fraction(p, q), Fraction(p_prev, q_prev))
+                        if q_prev else (Fraction(p), Fraction(p + 1)))
+        return ContinuedFraction(_PrefixSource(prefix, lo, hi))
+    if any(a < 1 for a in period):
+        raise DomainError("period entries must be positive")
+    # The purely periodic tail y = [b0; b1, ...] solves
+    # y = (p*y + p_prev) / (q*y + q_prev); take the root > 1.
+    p_prev, q_prev, p, q = _last_convergents(period)
+    disc = (q_prev - p) ** 2 + 4 * q * p_prev
+    tail = QuadExt(disc, Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q))
+    # Fold the prefix over the tail.
+    p_prev, q_prev, p, q = _last_convergents(prefix)
+    value = (tail * p + p_prev) / (tail * q + q_prev)
+    return ContinuedFraction(_QuadraticSource(value))
 
 
 def cf_from_decimal(digits: str, precision: int) -> ContinuedFraction:
     """alpha from a decimal literal with `precision` trusted digits."""
-    return ContinuedFraction(_DecimalSource(digits, precision))
+    if precision < 1:
+        raise DomainError("precision must be a positive digit count")
+    try:
+        center = Fraction(digits)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecParseError(f"bad decimal literal {digits!r}") from exc
+    eps = Fraction(1, 10**precision)
+    lo, hi = center - eps, center + eps
+    return ContinuedFraction(_PrefixSource(_certify(center, lo, hi), lo, hi))
 
 
 def parse_alpha_spec(text: str) -> ContinuedFraction:
@@ -338,9 +286,11 @@ def parse_alpha_spec(text: str) -> ContinuedFraction:
             d, p, q = (int(part) for part in body.split(","))
             return cf_from_quadratic(d, p, q)
         if kind == "cf":
-            head, _, per = body.partition(";")
-            prefix = [int(part) for part in head.split(",") if part != ""]
-            period = [int(part) for part in per.split(",")] if per else None
+            head, semi, per = body.partition(";")
+            # Only the head may be empty (`cf:;1`); int("") refuses any
+            # other empty entry.
+            prefix = [int(part) for part in head.split(",")] if head else []
+            period = [int(part) for part in per.split(",")] if semi else None
             return cf_from_terms(prefix, period)
         if kind == "dec":
             digits, _, prec = body.partition("@")

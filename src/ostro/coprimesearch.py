@@ -107,8 +107,8 @@ def growth_g(x, c: float) -> float:
     """g_c(x) = 2**(c*sqrt(log x)), natural log."""
     if x <= 1:
         raise DomainError("growth_g requires x > 1")
-    if c <= 0:
-        raise DomainError("growth_g requires c > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError("growth_g requires a finite c > 0")
     return 2.0 ** (c * math.sqrt(math.log(x)))
 
 

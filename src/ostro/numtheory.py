@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
@@ -29,7 +28,6 @@ from .errors import DomainError, FactorBudgetError
 
 DEFAULT_FACTOR_BUDGET = 10**7
 DEFAULT_SIEVE_BUDGET = 10**8
-FACTOR_BUDGET_ENV = "OSTRO_FACTOR_BUDGET"
 
 # psi_k is the least strong pseudoprime to each of the first k prime
 # bases (Jaeschke 1993; Sorenson and Webster, Math. Comp. 2017), so those
@@ -42,17 +40,8 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
 
 
 def factor_budget() -> int:
-    """Trial-division bound; overridable via OSTRO_FACTOR_BUDGET."""
-    raw = os.environ.get(FACTOR_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_FACTOR_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"bad {FACTOR_BUDGET_ENV}: {raw!r}") from exc
-    if value < 2:
-        raise DomainError(f"{FACTOR_BUDGET_ENV} must be >= 2")
-    return value
+    """The default trial-division bound."""
+    return DEFAULT_FACTOR_BUDGET
 
 
 class _PrimeTable:
@@ -212,7 +201,7 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
-    b = budget if budget is not None else factor_budget()
+    b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     factors, rem = _trial_division(n, b)
     if rem > 1:
         s = isqrt(rem)
@@ -250,7 +239,7 @@ def omega(n: int, budget: int | None = None) -> int:
     trial-divides only to min(budget, ceil(cbrt(n)))."""
     if n < 1:
         raise DomainError("omega requires n >= 1")
-    b = budget if budget is not None else factor_budget()
+    b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     bound = min(b, _icbrt_ceil(n))
     factors, rem = _trial_division(n, bound)
     return len(factors) + _cofactor_omega(rem, bound)
@@ -376,7 +365,7 @@ def omega_window(lo: int, hi: int, budget: int | None = None) -> OmegaWindow:
         raise DomainError("need 1 <= lo <= hi")
     if hi >= 1 << 62:
         raise DomainError("window endpoint too large for the sieve pass")
-    b = budget if budget is not None else factor_budget()
+    b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     bound = min(b, _icbrt_ceil(hi))
     width = hi - lo + 1
     small = [0] * width

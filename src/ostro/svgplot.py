@@ -29,10 +29,11 @@ def render_quality_plot(points: list[tuple[float, float]],
                         y_label: str = "quality") -> str:
     """SVG of y vs x with both axes logarithmic.
 
-    Points with a nonpositive coordinate cannot be placed on log axes and
-    are dropped.  An empty point list yields axes only.
+    Points with a nonpositive or non-finite coordinate cannot be placed on
+    log axes and are dropped.  An empty point list yields axes only.
     """
-    pts = sorted((x, y) for x, y in points if x > 0 and y > 0)
+    pts = sorted((x, y) for x, y in points
+                 if 0 < x < math.inf and 0 < y < math.inf)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',

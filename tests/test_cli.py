@@ -200,6 +200,16 @@ def test_construct_warns_on_small_c(capsys):
     assert "warning" in err
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_construct_refuses_a_non_finite_c(c, capsys):
+    code, out, err = run(["construct", "--alpha", "quad:2,0,1",
+                          "--gamma", "rat:1/3", "--i-range", "5:7",
+                          f"-c={c}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_oracle_verb(capsys):
     code, out, _ = run(["oracle", "--alpha", "quad:2,0,1", "--gamma", "rat:0",
                         "--n-max", "12"], capsys)
@@ -226,6 +236,22 @@ def test_plot_determinism_and_empty(tmp_path, capsys):
     assert main(["plot", "--input", str(empty), "-o", str(out_svg)]) == 0
     body = out_svg.read_text()
     assert "<svg" in body and "polyline" not in body
+
+
+@pytest.mark.parametrize("row", ["inf,,,,,,0.5,,", "15,,,,,,inf,,",
+                                 "-inf,,,,,,0.5,,", "16,,,,,,nan,,"])
+def test_plot_drops_non_finite_points(row, tmp_path, capsys):
+    csv = tmp_path / "c.csv"
+    assert main(["construct", "--alpha", "quad:2,0,1", "--gamma", "rat:1/3",
+                 "--i-range", "5:14", "-o", str(csv)]) == 0
+    plain = tmp_path / "plain.svg"
+    assert main(["plot", "--input", str(csv), "-o", str(plain)]) == 0
+    extra = tmp_path / "extra.csv"
+    extra.write_text(csv.read_text() + row + "\n")
+    code, out, _ = run(["plot", "--input", str(extra)], capsys)
+    assert code == 0
+    assert out == plain.read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == fixtures.PLOT_SVG_SHA256
 
 
 def test_io_error_exits_5(tmp_path, capsys):

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostro.confrac import (cf_from_decimal, cf_from_quadratic, cf_from_terms,
                            parse_alpha_spec)
 from ostro.errors import (DomainError, PrecisionError, RationalInputError,
                           SpecParseError)
+from ostro.quadratic import QuadExt
 
 GOLDEN = cf_from_quadratic(5, 1, 2)
 SQRT2 = cf_from_quadratic(2, 0, 1)
@@ -85,8 +88,10 @@ def test_terms_without_period_hits_horizon():
     t = cf_from_terms([3, 7, 15, 1])
     assert t.partial_quotients(4) == [3, 7, 15, 1]
     assert t.horizon == 3
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="a_4 beyond horizon 3$"):
         t.partial_quotient(4)
+    one = cf_from_terms([5])
+    assert one.alpha().lo == 5 and one.alpha().hi == 6
     with pytest.raises(DomainError):
         cf_from_terms([1], [])
     with pytest.raises(DomainError):
@@ -131,7 +136,37 @@ def test_parse_alpha_spec():
     assert parse_alpha_spec("cf:1;2").partial_quotients(3) == [1, 2, 2]
     assert parse_alpha_spec("cf:3,7,15").horizon == 2
     assert parse_alpha_spec("dec:1.414@3").partial_quotient(0) == 1
+    assert parse_alpha_spec("cf:;2").partial_quotients(3) == [2, 2, 2]
     for bad in ("", "quad:", "quad:a,b,c", "cf:", "dec:1.41", "huh:1",
-                "dec:x@3"):
+                "dec:x@3", "cf:1,,2", "cf:1,", "cf:,1", "cf:1;", "cf:;",
+                "cf:1;2,", "cf:1;,2"):
         with pytest.raises(SpecParseError):
             parse_alpha_spec(bad)
+
+
+def test_periodic_terms_match_the_quadratic_factory():
+    terms = cf_from_terms([1], [2]).alpha_exact()
+    quad = cf_from_quadratic(2, 0, 1).alpha_exact()
+    # A periodic list is solved with d = the discriminant of its period
+    # (8 for [2]), so the two values are equal but not in the same field.
+    assert terms == QuadExt(8, 0, Fraction(1, 2))
+    assert terms * terms == 2 and quad * quad == 2
+    assert terms.floor() == quad.floor() == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-5, 5), st.lists(st.integers(1, 9), max_size=5),
+       st.lists(st.integers(1, 9), min_size=1, max_size=5), st.booleans())
+def test_terms_expand_to_their_own_list(a0, rest, period, with_head):
+    prefix = [a0] + rest if with_head else []
+    count = 3 * (len(prefix) + len(period))
+    cf = cf_from_terms(prefix, period)
+    assert cf.horizon is None
+    assert cf.partial_quotients(count) == (prefix + period * count)[:count]
+    exact = cf.alpha_exact()
+    # The same quotients without the period certify a bracket of alpha.
+    head = cf_from_terms(prefix + period)
+    assert head.horizon == len(prefix) + len(period) - 1
+    assert head.partial_quotients(head.horizon + 1) == prefix + period
+    bracket = head.alpha()
+    assert bracket.lo < exact < bracket.hi

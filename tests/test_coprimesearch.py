@@ -213,6 +213,9 @@ def test_growth_special_points_and_domain():
         growth_h(1.0001, 0.1)
     with pytest.raises(DomainError):
         growth_g(10**6, 0.0)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            growth_g(10**6, c)
 
 
 def test_find_low_omega_examples():

@@ -440,10 +440,6 @@ def test_small_budget_minimum_is_certified_or_refused(lo, width, budget):
 
 
 def test_factor_budget_env(monkeypatch):
-    monkeypatch.delenv("OSTRO_FACTOR_BUDGET", raising=False)
-    assert factor_budget() == 10**7
+    # The bound is fixed; the environment no longer overrides it.
     monkeypatch.setenv("OSTRO_FACTOR_BUDGET", "12345")
-    assert factor_budget() == 12345
-    monkeypatch.setenv("OSTRO_FACTOR_BUDGET", "zzz")
-    with pytest.raises(DomainError):
-        factor_budget()
+    assert factor_budget() == 10**7
