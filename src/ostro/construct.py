@@ -96,6 +96,11 @@ class BasePair:
     n: int
 
 
+# The most shifts a = 1..ceil(h_c(|N_i(0)|)) one row may scan; a wider
+# window is refused before anything is allocated for it.
+MAX_A_WINDOW = 1 << 20
+
+
 @dataclass(frozen=True)
 class SearchCaps:
     """Hard limits for the adaptive coprime-shift search."""
@@ -188,6 +193,9 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
     sign = 1 if i % 2 else -1
 
     width = max(1, math.ceil(growth_h(max(2, abs(n0)), c)))
+    if width > MAX_A_WINDOW:
+        raise SearchCapError(
+            f"a-window of {width} shifts exceeds {MAX_A_WINDOW} at i={i}")
     # a -> |N_i(a)| for a = 1..width, skipping a zero cross term.
     sizes = {a: abs(n0 + sign * a) for a in range(1, width + 1)
              if n0 + sign * a}

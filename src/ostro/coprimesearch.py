@@ -109,7 +109,10 @@ def growth_g(x, c: float) -> float:
         raise DomainError("growth_g requires x > 1")
     if not (math.isfinite(c) and c > 0):
         raise DomainError("growth_g requires a finite c > 0")
-    return 2.0 ** (c * math.sqrt(math.log(x)))
+    try:
+        return 2.0 ** (c * math.sqrt(math.log(x)))
+    except OverflowError:
+        raise DomainError(f"growth_g overflows a float at c = {c}") from None
 
 
 def growth_h(x, c: float) -> float:

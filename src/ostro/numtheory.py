@@ -3,13 +3,14 @@
 gcd, factorization by trial division with a sieved prime table, the
 multiplicative statistics built on it (omega, mu, phi, squarefree
 divisors), exact prime counting, and a windowed omega scan for short
-intervals of large integers.  The window sieves only the primes up to
-min(budget, ceil(cbrt(hi))), so every cofactor it leaves is 1, a prime,
-a prime square or a product of two primes; a cofactor that the sieve
-bound alone cannot settle is settled when its entry is read.  Nothing
-here returns a probabilistic answer: Miller-Rabin uses the first k
-prime bases only for n below psi_k, the least strong pseudoprime to all
-of them, which makes it deterministic for every integer below 3.3e24.
+intervals of large integers.  factorize, omega and omega_window share
+one residue pass over a prime array (_neg_mod, for integers of any size)
+and one rule for the cofactor that trial division leaves (_cofactor).
+The window sieves only to min(budget, ceil(cbrt(hi))) and settles a
+cofactor when its entry is read.  Nothing here returns a probabilistic
+answer: Miller-Rabin uses the first k prime bases only for n below
+psi_k, the least strong pseudoprime to all of them, which makes it
+deterministic for every integer below 3.3e24.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ class _PrimeTable:
     def __init__(self):
         self._lock = threading.Lock()
         self._limit = 0
-        self._flags: np.ndarray | None = None
-        self._primes: np.ndarray | None = None
+        self.primes = np.empty(0, dtype=np.int64)
 
     def ensure(self, limit: int) -> None:
         if limit <= self._limit:
@@ -65,18 +65,8 @@ class _PrimeTable:
             for p in range(2, isqrt(limit) + 1):
                 if flags[p]:
                     flags[p * p:: p] = False
-            self._flags = flags
-            self._primes = np.flatnonzero(flags).astype(np.int64)
+            self.primes = np.flatnonzero(flags).astype(np.int64)
             self._limit = limit
-
-    def primes_leq(self, n: int) -> np.ndarray:
-        self.ensure(n)
-        idx = np.searchsorted(self._primes, n, side="right")
-        return self._primes[:idx]
-
-    def count_leq(self, n: int) -> int:
-        self.ensure(n)
-        return int(np.count_nonzero(self._flags[: n + 1]))
 
 
 _TABLE = _PrimeTable()
@@ -93,9 +83,9 @@ def _small_primes() -> list[int]:
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending (shared read-only array)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    return _TABLE.primes_leq(n)
+    _TABLE.ensure(n)
+    primes = _TABLE.primes
+    return primes[:np.searchsorted(primes, n, side="right")]
 
 
 def is_prime(n: int) -> bool:
@@ -156,6 +146,18 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _neg_mod(n: int, ps: np.ndarray) -> np.ndarray:
+    """(-n) % p for each prime p < 2**31 in ps and any n >= 0, by Horner's
+    rule over 31-bit limbs below a head of at most 62 bits, so every int64
+    step stays below 2**62 in absolute value."""
+    shift = max(0, n.bit_length() - 32) // 31 * 31
+    r = -(n >> shift) % ps
+    while shift:
+        shift -= 31
+        r = ((r << 31) - ((n >> shift) & 0x7FFFFFFF)) % ps
+    return r
+
+
 def _trial_division(n: int, budget: int) -> tuple[list[tuple[int, int]], int]:
     """Divide out all primes <= budget; the cofactor left is 1, composite
     or >= psi_13.  Checkpoint primality tests keep a huge prime cofactor
@@ -171,7 +173,8 @@ def _trial_division(n: int, budget: int) -> tuple[list[tuple[int, int]], int]:
                 ps = small[bisect_left(small, lo):bisect_right(small, hi)]
             else:
                 arr = primes_up_to(hi)
-                ps = map(int, arr[np.searchsorted(arr, lo):])
+                arr = arr[np.searchsorted(arr, lo):]
+                ps = arr[_neg_mod(rem, arr) == 0].tolist()
             for p in ps:
                 if p * p > rem:
                     break
@@ -192,46 +195,46 @@ def _trial_division(n: int, budget: int) -> tuple[list[tuple[int, int]], int]:
     return factors, rem
 
 
+def _cofactor(rem: int, bound: int) -> list[tuple[int, int]] | None:
+    """The prime powers of rem >= 1, which has no prime factor <= bound.
+
+    None means two distinct primes above bound that were not found: omega
+    counts 2, factorize refuses.  Any other rem that is not settled raises
+    FactorBudgetError."""
+    if rem == 1:
+        return []
+    if rem < (bound + 1) ** 2:
+        return [(rem, 1)]
+    # The square test comes first: a prime square can pass psi_13 while
+    # its root is still in is_prime's range.
+    s = isqrt(rem)
+    if s * s == rem:
+        root = _cofactor(s, bound)
+        return None if root is None else [(p, 2 * e) for p, e in root]
+    if rem < _MR_PSI[-1]:
+        if is_prime(rem):
+            return [(rem, 1)]
+        if rem <= bound**3:
+            return None
+    raise FactorBudgetError(
+        f"factor budget exceeded: cofactor {rem} is undecided")
+
+
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Full factorization within the trial budget.
 
     Raises FactorBudgetError when the cofactor left after trial division
-    is composite and not the square of a prime, and DomainError when that
-    cofactor is at least psi_13 (3.3e24), where primality is undecided.
+    is not 1, a prime, or a prime power found by square roots.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     factors, rem = _trial_division(n, b)
-    if rem > 1:
-        s = isqrt(rem)
-        if s * s == rem and is_prime(s):
-            factors.append((s, 2))
-        elif rem >= _MR_PSI[-1]:
-            raise DomainError("primality test limit exceeded")
-        else:
-            raise FactorBudgetError(
-                f"factor budget exceeded: composite cofactor {rem}")
-    factors.sort()
-    return Factorization(n, tuple(factors))
-
-
-def _cofactor_omega(rem: int, budget: int) -> int:
-    """Distinct-prime count of a cofactor free of primes <= budget."""
-    if rem == 1:
-        return 0
-    # The square test comes first, as in factorize: a prime square can
-    # pass psi_13 while its root is still in is_prime's range.
-    s = isqrt(rem)
-    if s * s == rem:
-        return _cofactor_omega(s, budget)
-    if is_prime(rem):
-        return 1
-    if rem <= budget**3:
-        # No factor <= budget and composite: exactly two distinct primes.
-        return 2
-    raise FactorBudgetError(
-        f"factor budget exceeded: omega undecidable for cofactor {rem}")
+    tail = _cofactor(rem, b)
+    if tail is None:
+        raise FactorBudgetError(
+            f"factor budget exceeded: composite cofactor {rem}")
+    return Factorization(n, tuple(factors + tail))
 
 
 def omega(n: int, budget: int | None = None) -> int:
@@ -242,7 +245,8 @@ def omega(n: int, budget: int | None = None) -> int:
     b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     bound = min(b, _icbrt_ceil(n))
     factors, rem = _trial_division(n, bound)
-    return len(factors) + _cofactor_omega(rem, bound)
+    tail = _cofactor(rem, bound)
+    return len(factors) + (2 if tail is None else len(tail))
 
 
 def mobius(n: int, budget: int | None = None) -> int:
@@ -268,9 +272,7 @@ def prime_count(x: int, sieve_budget: int = DEFAULT_SIEVE_BUDGET) -> int:
         raise DomainError("prime_count requires x >= 1")
     if x > sieve_budget:
         raise DomainError(f"sieve budget exceeded: {x} > {sieve_budget}")
-    if x < 2:
-        return 0
-    return _TABLE.count_leq(x)
+    return primes_up_to(x).size
 
 
 def squarefree_divisors(n: int, budget: int | None = None) -> list[int]:
@@ -314,9 +316,7 @@ class OmegaWindow(Sequence[int]):
     def __len__(self) -> int:
         return len(self._rem)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[k] for k in range(*key.indices(len(self)))]
+    def __getitem__(self, key: int) -> int:
         k = range(len(self))[key]  # normalizes and bounds-checks key
         value = self._settled[k]
         if value is None:
@@ -324,7 +324,8 @@ class OmegaWindow(Sequence[int]):
             if v < (self._bound + 1) ** 2:
                 value = self._small[k] + (v > 1)
             else:
-                value = self._small[k] + _cofactor_omega(v, self._bound)
+                tail = _cofactor(v, self._bound)
+                value = self._small[k] + (2 if tail is None else len(tail))
             self._settled[k] = value
         return value
 
@@ -363,23 +364,20 @@ def omega_window(lo: int, hi: int, budget: int | None = None) -> OmegaWindow:
     """
     if lo < 1 or hi < lo:
         raise DomainError("need 1 <= lo <= hi")
-    if hi >= 1 << 62:
-        raise DomainError("window endpoint too large for the sieve pass")
     b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     bound = min(b, _icbrt_ceil(hi))
     width = hi - lo + 1
     small = [0] * width
     rem = list(range(lo, hi + 1))
     ps = primes_up_to(bound)
-    if ps.size:
-        offset = (-lo) % ps  # distance from lo to p's first multiple
-        hits = offset < width
-        for p, start in zip(ps[hits].tolist(), offset[hits].tolist()):
-            for idx in range(start, width, p):
-                small[idx] += 1
-                v = rem[idx] // p
-                while v % p == 0:
-                    v //= p
-                rem[idx] = v
+    offset = _neg_mod(lo, ps)  # distance from lo to p's first multiple
+    hits = offset < width
+    for p, start in zip(ps[hits].tolist(), offset[hits].tolist()):
+        for idx in range(start, width, p):
+            small[idx] += 1
+            v = rem[idx] // p
+            while v % p == 0:
+                v //= p
+            rem[idx] = v
     return OmegaWindow(small, rem, bound)
 

@@ -1,4 +1,5 @@
 import hashlib
+import signal
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,29 @@ def test_construct_refuses_a_non_finite_c(c, capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("construct ran past its guard")
+
+
+@pytest.mark.parametrize("c, status", [("20", "search-cap"),
+                                       ("1000", "domain")])
+def test_construct_refuses_a_huge_c_row_by_row(c, status, capsys):
+    # c = 20 asks for ~1.4e9 shifts a row; c = 1000 overflows growth_g.
+    # Both rows must be refused at once, before a window is allocated.
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        code, out, _ = run(["construct", "--alpha", "quad:2,0,1",
+                            "--gamma", "rat:1/3", "--i-range", "5:6",
+                            f"-c={c}"], capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{i},,,,,,,,status:{status}"
+                                    for i in (5, 6)]
 
 
 def test_oracle_verb(capsys):

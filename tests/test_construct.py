@@ -13,8 +13,8 @@ from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              construct_sweep, cross_term, gamma_value,
                              is_zero_gamma, n0_growth_check, parse_gamma_spec,
                              shifted_pair)
-from ostro.errors import (DomainError, PrecisionError, SearchCapError,
-                          SpecParseError)
+from ostro.errors import (DomainError, FactorBudgetError, PrecisionError,
+                          SearchCapError, SpecParseError)
 from ostro.numtheory import omega
 from ostro.ostrowski import ostrowski_real
 from ostro.validated import ValidatedReal
@@ -267,9 +267,9 @@ def test_sweep_expands_gamma_once(monkeypatch, top):
     for i, res in rows:
         if i > 64:
             assert isinstance(res, PrecisionError), (i, res)
-        elif i > 50:
-            assert isinstance(res, DomainError), (i, res)
-            assert "window endpoint too large" in str(res)
+        elif i in (57, 62, 64):
+            # first_least must read a composite cofactor above budget**3
+            assert isinstance(res, FactorBudgetError), (i, res)
         else:
             assert isinstance(res, ApproxPair), (i, res)
         try:
@@ -277,6 +277,31 @@ def test_sweep_expands_gamma_once(monkeypatch, top):
         except Exception as exc:
             alone = exc
         assert _row_key(res) == _row_key(alone), i
+
+
+def test_rows_past_the_int64_range_are_pairs():
+    # For sqrt 2 with gamma = 1/3, |N_i(a)| passes 2^62 at i = 51.
+    gamma = parse_gamma_spec("rat:1/3")
+    assert abs(cross_term(base_pair(SQRT2, gamma, 51), SQRT2, 0)) > 2**62
+    for i, res in construct_sweep(SQRT2, gamma, range(51, 57)):
+        assert isinstance(res, ApproxPair), (i, res)
+        cross = cross_term(base_pair(SQRT2, gamma, i), SQRT2, res.a)
+        assert res.omega_cross == omega(abs(cross)), i
+
+
+def test_a_window_past_the_cap_is_refused_before_allocation():
+    # At c = 20, h_c(|N_5(0)|) asks for about 1.4e9 shifts.
+    gamma = parse_gamma_spec("rat:1/3")
+    n0 = cross_term(base_pair(SQRT2, gamma, 5), SQRT2, 0)
+    assert growth_h(abs(n0), 20.0) > construct.MAX_A_WINDOW
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(SearchCapError, match="a-window"):
+            construct_coprime_approx(SQRT2, gamma, 5, c=20.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_search_caps_exhaustion_reports():

@@ -213,7 +213,8 @@ def test_growth_special_points_and_domain():
         growth_h(1.0001, 0.1)
     with pytest.raises(DomainError):
         growth_g(10**6, 0.0)
-    for c in (math.nan, math.inf, -math.inf):
+    # 1000 is finite, but 2**(c*sqrt(log x)) overflows a float.
+    for c in (math.nan, math.inf, -math.inf, 1000.0):
         with pytest.raises(DomainError):
             growth_g(10**6, c)
 

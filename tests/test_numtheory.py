@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -37,6 +38,10 @@ def test_factorize_budget_and_prime_square_cofactor():
         factorize(p * q, budget=10**6)
     # a prime-square cofactor is still factorable
     assert factorize(p * p, budget=10**6).factors == ((p, 2),)
+    # p is the least prime above the default budget; p**4 > psi_13 is
+    # settled by two square roots
+    assert factorize(p**4).factors == ((p, 4),)
+    assert omega(p**4) == 1
     # both factors under the default trial bound
     assert factorize(1000003 * 1000033).factors == \
         ((1000003, 1), (1000033, 1))
@@ -104,6 +109,45 @@ def test_factorize_recovers_planted_factors(picks, extra):
         n *= extra
         planted[extra] = 1
     assert factorize(n).factors == tuple(sorted(planted.items()))
+
+
+def _prev_prime_by_trial_division(n: int) -> int:
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(x=st.integers(2**16 + 1, 10**7),
+       picks=st.lists(st.sampled_from(SMALL_PRIMES[:30]), max_size=30),
+       extra=st.none() | st.sampled_from(LARGE_PRIMES))
+def test_factorize_finds_a_planted_prime_past_the_cached_list(x, picks, extra):
+    # p lies in (2^16, 10^7], where trial division tests a whole checkpoint
+    # stage of the numpy table at once.
+    p = _prev_prime_by_trial_division(x)
+    planted = {p: 1}
+    n = p
+    if extra is not None:
+        n *= extra
+        planted[extra] = planted.get(extra, 0) + 1
+    for q in picks:
+        if n * q > 2**128:
+            break
+        n *= q
+        planted[q] = planted.get(q, 0) + 1
+    assert factorize(n).factors == tuple(sorted(planted.items()))
+
+
+def test_neg_mod_matches_python():
+    rng = random.Random(20250)
+    values = [1, 2**62 - 1, 2**62, 2**62 + 1, 2**63, 2**64 + 7]
+    values += [rng.getrandbits(rng.randint(1, 400)) for _ in range(8)]
+    for top in (2, 65537, 10**6, 10**7):
+        ps = primes_up_to(top)
+        plain = ps.tolist()
+        for lo in values:
+            assert numtheory._neg_mod(lo, ps).tolist() == \
+                [(-lo) % p for p in plain], (top, lo)
 
 
 def test_prime_count():
@@ -219,6 +263,24 @@ def test_omega_window_matches_pointwise_omega():
         [omega(n) for n in range(base, base + 51)]
     with pytest.raises(DomainError):
         omega_window(0, 5)
+
+
+def _omega_or_refusal(read):
+    try:
+        return read()
+    except FactorBudgetError:
+        return "refused"
+
+
+@pytest.mark.parametrize("lo, hi", [(2**62 - 20, 2**62 + 20),
+                                    (10**30 - 30, 10**30 + 30)])
+def test_omega_window_past_the_int64_range(lo, hi):
+    # Near 10^30 some cofactors are past budget**3: the window refuses
+    # exactly the entries that pointwise omega refuses.
+    window = omega_window(lo, hi)
+    got = [_omega_or_refusal(lambda k=k: window[k]) for k in range(len(window))]
+    assert got == [_omega_or_refusal(lambda n=n: omega(n))
+                   for n in range(lo, hi + 1)]
 
 
 def test_is_prime_spot_checks():
@@ -370,17 +432,18 @@ def test_planted_two_prime_cofactors(hi, width, square, data):
     n = m * p * q
     lo = max(1, n - data.draw(st.integers(0, width - 1)))
     seen = []
-    settle = numtheory._cofactor_omega
+    settle = numtheory._cofactor
 
     def spy(rem, bound):
         seen.append((rem, settle(rem, bound)))
         return seen[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numtheory, "_cofactor_omega", spy)
+        mp.setattr(numtheory, "_cofactor", spy)
         window = omega_window(lo, lo + width - 1)
         values = list(window)
-    assert (p * q, 1 if square else 2) in seen
+    # None: two distinct primes above the sieve bound, counted unfound.
+    assert (p * q, [(p, 2)] if square else None) in seen
     expected = [omega(v) for v in range(lo, lo + width)]
     assert values == expected
     assert values[n - lo] == omega(m) + (1 if square else 2)
