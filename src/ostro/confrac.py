@@ -1,18 +1,18 @@
 """Continued fractions of irrational numbers with certified quotients.
 
-Two sources are supported:
+Every continued fraction is one data shape: a list of quotients, an
+optional period repeated after it, and alpha as a validated real.
 
-* exact quadratic irrationals, expanded by iterating the Gauss map in
-  Q(sqrt(d)) with period detection.  `quad:` inputs are one; a quotient
-  list with a repeating period is solved to its exact value first;
-* certified prefixes: a finite list of quotients with a rational bracket
-  of alpha.  A quotient list without a period is bracketed by its last
-  two convergents; a decimal string with a stated number of trusted
-  digits yields the quotients certified over its whole uncertainty
-  interval.  Quotients past the prefix raise PrecisionError.
+* A `quad:` value, or a quotient list with a period (solved to its exact
+  value first), is expanded by iterating the Gauss map in Q(sqrt(d))
+  with period detection; its quotients never run out.
+* A quotient list without a period is bracketed by its last two
+  convergents; a decimal string with a stated number of trusted digits
+  yields the quotients certified over its whole uncertainty interval.
+  Only these quotients are certified: a later one raises PrecisionError.
 
 Convergents carry the signed errors D_k = q_k*alpha - p_k as validated
-reals, exact whenever the source is exact.
+reals, exact whenever alpha is.
 """
 
 from __future__ import annotations
@@ -39,57 +39,13 @@ class Convergent:
     D: ValidatedReal
 
 
-class _QuadraticSource:
-    """Quotients of an exact quadratic irrational via the Gauss map."""
-
-    horizon = None
-
-    def __init__(self, value: QuadExt):
-        self.exact = value
-        self.alpha = ValidatedReal.from_quadratic(value)
-        self._prefix, self._period = self._expand(value)
-
-    @staticmethod
-    def _expand(state: QuadExt) -> tuple[list[int], list[int]]:
-        """(prefix, period) of the quotients along the Gauss-map orbit."""
-        seen: dict[QuadExt, int] = {}
-        quots: list[int] = []
-        while state not in seen:
-            seen[state] = len(quots)
-            a = state.floor()
-            quots.append(a)
-            state = (state - a).inverse()
-        start = seen[state]
-        return quots[:start], quots[start:]
-
-    def quotient(self, k: int) -> int:
-        if k < len(self._prefix):
-            return self._prefix[k]
-        return self._period[(k - len(self._prefix)) % len(self._period)]
-
-
-class _PrefixSource:
-    """Finitely many certified quotients of an alpha in [lo, hi]."""
-
-    exact = None
-
-    def __init__(self, quots: list[int], lo: Fraction, hi: Fraction):
-        self._quots = quots
-        self.horizon = len(quots) - 1
-        self.alpha = ValidatedReal(lo, hi)
-
-    def quotient(self, k: int) -> int:
-        if k <= self.horizon:
-            return self._quots[k]
-        raise PrecisionError(
-            f"precision exhausted: quotient a_{k} beyond horizon "
-            f"{self.horizon}")
+# (p_-2, q_-2) = (0, 1) and (p_-1, q_-1) = (1, 0) start every recurrence.
+_SEEDS = [(0, 1), (1, 0)]
 
 
 def _last_convergents(quots: list[int]) -> tuple[int, int, int, int]:
-    """(p_prev, q_prev, p, q) of the last two convergents of `quots`,
-    seeded with p_-1/q_-1 = 1/0 and p_-2/q_-2 = 0/1."""
-    p_prev, q_prev, p, q = 0, 1, 1, 0
+    """(p_prev, q_prev, p, q) of the last two convergents of `quots`."""
+    (p_prev, q_prev), (p, q) = _SEEDS
     for a in quots:
         p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
     return p_prev, q_prev, p, q
@@ -120,14 +76,19 @@ def _certify(center: Fraction, lo: Fraction, hi: Fraction) -> list[int]:
 class ContinuedFraction:
     """An irrational alpha presented through its partial quotients.
 
-    The quotient cache is append-only and extension is serialized, so
-    concurrent readers are safe.
+    Quotient k is prefix[k], then period[(k - len(prefix)) % len(period)].
+    With no period only the prefix is certified.  `exact` is alpha as a
+    QuadExt when it is known exactly.  The convergent cache is
+    append-only and grown under a lock, so concurrent readers are safe.
     """
 
-    def __init__(self, source):
-        self._source = source
+    def __init__(self, prefix: list[int], period: Optional[list[int]],
+                 alpha: ValidatedReal, exact: Optional[QuadExt] = None):
+        self._prefix = prefix
+        self._period = period
+        self._alpha = alpha
+        self._exact = exact
         self._lock = threading.Lock()
-        self._quots: list[int] = []
         self._convs: list[Convergent] = []
 
     # -- quotients -----------------------------------------------------------
@@ -135,34 +96,31 @@ class ContinuedFraction:
     def partial_quotient(self, k: int) -> int:
         if k < 0:
             raise DomainError("quotient index must be >= 0")
-        self._ensure_quotients(k)
-        return self._quots[k]
+        if k < len(self._prefix):
+            return self._prefix[k]
+        if self._period is None:
+            raise PrecisionError(
+                f"precision exhausted: quotient a_{k} beyond horizon "
+                f"{self.horizon}")
+        return self._period[(k - len(self._prefix)) % len(self._period)]
 
     def partial_quotients(self, count: int) -> list[int]:
         if count < 1:
             raise DomainError("count must be >= 1")
-        self._ensure_quotients(count - 1)
-        return self._quots[:count]
-
-    def _ensure_quotients(self, k: int) -> None:
-        if k < len(self._quots):
-            return
-        with self._lock:
-            while len(self._quots) <= k:
-                self._quots.append(self._source.quotient(len(self._quots)))
+        return [self.partial_quotient(k) for k in range(count)]
 
     @property
     def horizon(self) -> Optional[int]:
         """Largest certifiable quotient index, or None when unbounded."""
-        return self._source.horizon
+        return None if self._period is not None else len(self._prefix) - 1
 
     def alpha_exact(self) -> Optional[QuadExt]:
-        return self._source.exact
+        return self._exact
 
     # -- alpha as a validated real --------------------------------------------
 
     def alpha(self) -> ValidatedReal:
-        return self._source.alpha
+        return self._alpha
 
     def alpha_value(self, width) -> ValidatedReal:
         """Enclosure of alpha with width at most the request."""
@@ -177,22 +135,18 @@ class ContinuedFraction:
     def convergent(self, k: int) -> Convergent:
         if k < 0:
             raise DomainError("convergent index must be >= 0")
-        self._ensure_quotients(k)
-        with self._lock:
-            while len(self._convs) <= k:
-                self._convs.append(self._next_convergent(len(self._convs)))
+        if k >= len(self._convs):
+            with self._lock:
+                while len(self._convs) <= k:
+                    self._convs.append(self._next_convergent(len(self._convs)))
         return self._convs[k]
 
     def _next_convergent(self, k: int) -> Convergent:
-        a = self._quots[k]
-        if k == 0:
-            p, q = a, 1
-        elif k == 1:
-            p_prev = self._convs[0].p
-            p, q = a * p_prev + 1, a
-        else:
-            p = a * self._convs[k - 1].p + self._convs[k - 2].p
-            q = a * self._convs[k - 1].q + self._convs[k - 2].q
+        """Convergent k from a_k and the last two cached (k == len(_convs))."""
+        a = self.partial_quotient(k)
+        (p_prev, q_prev), (p, q) = (
+            _SEEDS + [(c.p, c.q) for c in self._convs[-2:]])[-2:]
+        p, q = a * p + p_prev, a * q + q_prev
         if math.gcd(p, q) != 1:
             raise DomainError("convergent recurrence lost coprimality")
         d_val = self.alpha() * q - p
@@ -216,6 +170,22 @@ class ContinuedFraction:
 # -- factories ----------------------------------------------------------------
 
 
+def _from_exact(value: QuadExt) -> ContinuedFraction:
+    """Expand an exact quadratic irrational along its Gauss-map orbit,
+    stopping at the first repeated state: the period starts there."""
+    seen: dict[QuadExt, int] = {}
+    quots: list[int] = []
+    state = value
+    while state not in seen:
+        seen[state] = len(quots)
+        a = state.floor()
+        quots.append(a)
+        state = (state - a).inverse()
+    start = seen[state]
+    return ContinuedFraction(quots[:start], quots[start:],
+                             ValidatedReal.from_quadratic(value), value)
+
+
 def cf_from_quadratic(d: int, p: int, q: int) -> ContinuedFraction:
     """alpha = (p + sqrt(d)) / q for a nonsquare d >= 2 and q != 0."""
     if q == 0:
@@ -224,15 +194,15 @@ def cf_from_quadratic(d: int, p: int, q: int) -> ContinuedFraction:
         raise DomainError("d must be >= 2")
     if is_square(d):
         raise RationalInputError("rational input")
-    value = QuadExt(d, Fraction(p, q), Fraction(1, q))
-    return ContinuedFraction(_QuadraticSource(value))
+    return _from_exact(QuadExt(d, Fraction(p, q), Fraction(1, q)))
 
 
 def cf_from_terms(prefix, period=None) -> ContinuedFraction:
     """alpha from explicit partial quotients, optionally periodic.
 
-    A periodic list is solved to its exact quadratic value; a list
-    without a period certifies only its own quotients.
+    A periodic list is solved to its exact quadratic value, whose own
+    expansion supplies the quotients; a list without a period certifies
+    only its own quotients.
     """
     prefix = list(prefix)
     if period is not None:
@@ -249,7 +219,7 @@ def cf_from_terms(prefix, period=None) -> ContinuedFraction:
         p_prev, q_prev, p, q = _last_convergents(prefix)
         lo, hi = sorted((Fraction(p, q), Fraction(p_prev, q_prev))
                         if q_prev else (Fraction(p), Fraction(p + 1)))
-        return ContinuedFraction(_PrefixSource(prefix, lo, hi))
+        return ContinuedFraction(prefix, None, ValidatedReal(lo, hi))
     if any(a < 1 for a in period):
         raise DomainError("period entries must be positive")
     # The purely periodic tail y = [b0; b1, ...] solves
@@ -259,8 +229,7 @@ def cf_from_terms(prefix, period=None) -> ContinuedFraction:
     tail = QuadExt(disc, Fraction(p - q_prev, 2 * q), Fraction(1, 2 * q))
     # Fold the prefix over the tail.
     p_prev, q_prev, p, q = _last_convergents(prefix)
-    value = (tail * p + p_prev) / (tail * q + q_prev)
-    return ContinuedFraction(_QuadraticSource(value))
+    return _from_exact((tail * p + p_prev) / (tail * q + q_prev))
 
 
 def cf_from_decimal(digits: str, precision: int) -> ContinuedFraction:
@@ -273,7 +242,8 @@ def cf_from_decimal(digits: str, precision: int) -> ContinuedFraction:
         raise SpecParseError(f"bad decimal literal {digits!r}") from exc
     eps = Fraction(1, 10**precision)
     lo, hi = center - eps, center + eps
-    return ContinuedFraction(_PrefixSource(_certify(center, lo, hi), lo, hi))
+    return ContinuedFraction(_certify(center, lo, hi), None,
+                             ValidatedReal(lo, hi))
 
 
 def parse_alpha_spec(text: str) -> ContinuedFraction:

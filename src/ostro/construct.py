@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .confrac import ContinuedFraction
-from .coprimesearch import (ProgressionQuery, find_coprime_shift, growth_h)
+from .coprimesearch import (MAX_A_WINDOW, ProgressionQuery,
+                            find_coprime_shift, growth_h)
 from .errors import (CheckFailedError, DomainError, PrecisionError,
                      SearchCapError, SpecParseError)
 from .numtheory import omega_window
@@ -94,11 +95,6 @@ class BasePair:
     i: int
     m: int
     n: int
-
-
-# The most shifts a = 1..ceil(h_c(|N_i(0)|)) one row may scan; a wider
-# window is refused before anything is allocated for it.
-MAX_A_WINDOW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -244,6 +240,14 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
 
 
 def _quality(err: ValidatedReal, n: int, c: float) -> float:
+    """err.hi * |n| / exp(c*sqrt(log |n|)), read from err's first enclosure.
+
+    err.hi is the upper end at absolute width 2^-64, while the err_hi
+    column is printed from an enclosure refined to its printed digits.
+    Once err nears 2^-64 the ratio is a looser upper bound than err_hi
+    would give (about 1% for sqrt 2 with gamma 1/3 at i = 50); it is
+    kept so, because the pinned CSV bytes depend on it.
+    """
     n_abs = abs(n)
     if n_abs == 0:
         raise DomainError("quality undefined for n = 0")

@@ -13,7 +13,7 @@ The growth functions g_c(x) = 2**(c*sqrt(log x)) and
 h_c(x) = g_c(x)/(log g_c(x) * log log g_c(x)) size the search window in
 which some integer has few distinct prime factors; find_low_omega locates
 the exact minimum, settling only the entries of the omega window that can
-decide it.
+decide it.  A window wider than MAX_A_WINDOW is refused, in construct too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SearchCapError
 from .numtheory import factorize, omega_window
 # Not called here; perfbench/tracing.py hooks this name in this module.
 from .numtheory import squarefree_divisors  # noqa: F401
@@ -102,6 +102,10 @@ def find_coprime_shift(query: ProgressionQuery) -> int | None:
 
 # -- growth functions --------------------------------------------------------
 
+# The widest window, of ceil(h_c(x)) shifts or integers, that one search may
+# scan; a wider one is refused before anything is allocated for it.
+MAX_A_WINDOW = 1 << 20
+
 
 def growth_g(x, c: float) -> float:
     """g_c(x) = 2**(c*sqrt(log x)), natural log."""
@@ -125,10 +129,15 @@ def growth_h(x, c: float) -> float:
 
 
 def low_omega_interval(x: int, c: float) -> tuple[int, int]:
-    """The scanned interval [x, x + max(1, ceil(h_c(x)))]."""
+    """The scanned interval [x, x + max(1, ceil(h_c(x)))]; SearchCapError
+    when it is wider than MAX_A_WINDOW."""
     if x < 3:
         raise DomainError("find_low_omega requires x >= 3")
-    return x, x + max(1, math.ceil(growth_h(x, c)))
+    width = max(1, math.ceil(growth_h(x, c)))
+    if width > MAX_A_WINDOW:
+        raise SearchCapError(
+            f"omega window of {width} integers exceeds {MAX_A_WINDOW}")
+    return x, x + width
 
 
 def find_low_omega(x: int, c: float,
@@ -136,7 +145,8 @@ def find_low_omega(x: int, c: float,
     """(N, omega(N)) minimizing omega over [x, x + ceil(h_c(x))].
 
     Exact; ties resolve to the smallest N.  A cofactor the budget cannot
-    settle raises FactorBudgetError only if its entry must be read.
+    settle raises FactorBudgetError only if its entry must be read, and a
+    window wider than MAX_A_WINDOW raises SearchCapError.
     """
     lo, hi = low_omega_interval(x, c)
     window = omega_window(lo, hi, budget=budget)

@@ -1,11 +1,14 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostro.confrac import (cf_from_decimal, cf_from_quadratic, cf_from_terms,
-                           parse_alpha_spec)
+from ostro.confrac import (_last_convergents, cf_from_decimal,
+                           cf_from_quadratic, cf_from_terms, parse_alpha_spec)
 from ostro.errors import (DomainError, PrecisionError, RationalInputError,
                           SpecParseError)
 from ostro.quadratic import QuadExt
@@ -170,3 +173,72 @@ def test_terms_expand_to_their_own_list(a0, rest, period, with_head):
     assert head.partial_quotients(head.horizon + 1) == prefix + period
     bracket = head.alpha()
     assert bracket.lo < exact < bracket.hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-5, 5), st.lists(st.integers(1, 9), max_size=6),
+       st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       st.sampled_from(["head", "periodic", "pure"]))
+def test_convergents_follow_the_one_recurrence(a0, rest, period, shape):
+    # `head` is a list without a period; `pure` has an empty head.
+    head = [] if shape == "pure" else [a0] + rest
+    tail = ";" + ",".join(map(str, period)) if shape != "head" else ""
+    cf = parse_alpha_spec("cf:" + ",".join(map(str, head)) + tail)
+    count = len(head) if shape == "head" else 3 * (len(head) + len(period))
+    quots = cf.partial_quotients(count)
+    alpha, exact = cf.alpha(), cf.alpha_exact()
+    # Descending, so the first call fills the whole cache at once.
+    for k in reversed(range(count)):
+        conv = cf.convergent(k)
+        assert (conv.p, conv.q) == _last_convergents(quots[:k + 1])[2:]
+        if exact is None:
+            assert (conv.D.lo, conv.D.hi) == (alpha.lo * conv.q - conv.p,
+                                              alpha.hi * conv.q - conv.p)
+        else:
+            assert conv.D.exact == exact * conv.q - conv.p
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cf:3,7,15", "quotient a_3 beyond horizon 2"),
+    ("dec:3.14159265358979323846@20", "quotient a_19 beyond horizon 18"),
+])
+def test_convergent_past_the_horizon_names_it(spec, message):
+    cf = parse_alpha_spec(spec)
+    with pytest.raises(PrecisionError) as info:
+        cf.convergent(cf.horizon + 1)
+    assert str(info.value) == "precision exhausted: " + message
+
+
+def test_concurrent_readers_grow_one_cache():
+    # More threads than cores, released together, and a tiny switch
+    # interval: a convergent appended twice breaks the k order.
+    K = 300
+    want = [(c.p, c.q) for c in cf_from_terms([3], [1, 2, 5]).convergents(K)]
+    cf = cf_from_terms([3], [1, 2, 5])
+    start = threading.Barrier(8)
+    errors = []
+
+    def read(seed):
+        order = list(range(K + 1))
+        if seed % 2:
+            random.Random(seed).shuffle(order)
+        start.wait()
+        for k in order:
+            conv = cf.convergent(k)
+            if (conv.k, conv.p, conv.q) != (k, *want[k]):
+                errors.append((seed, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [c.k for c in cf.convergents(K)] == list(range(K + 1))

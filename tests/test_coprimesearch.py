@@ -1,4 +1,5 @@
 import math
+import signal
 from decimal import Decimal, getcontext
 
 import pytest
@@ -9,7 +10,7 @@ from ostro.coprimesearch import (ProgressionQuery, count_coprime_bruteforce,
                                  count_coprime_mobius, find_coprime_shift,
                                  find_low_omega, growth_g, growth_h,
                                  low_omega_interval)
-from ostro.errors import DomainError
+from ostro.errors import DomainError, SearchCapError
 from ostro.numtheory import euler_phi, factorize, omega, squarefree_divisors
 
 import fixtures
@@ -226,6 +227,26 @@ def test_find_low_omega_examples():
     assert w == 1  # 1000003 is prime and inside the window
     with pytest.raises(DomainError):
         find_low_omega(2, 2.0)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("find_low_omega ran past its guard")
+
+
+def test_find_low_omega_refuses_a_window_past_the_cap():
+    # h_20(29) is about 1.36e9 integers; the refusal must come before
+    # the window is built.
+    assert low_omega_interval(10**18, 3.0) == (10**18, 10**18 + 18763)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(SearchCapError, match="exceeds 1048576"):
+            find_low_omega(29, 20.0)
+        n, w = find_low_omega(10**18, 3.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (n, w) == (10**18 + 3, 1)
 
 
 def test_find_low_omega_matches_second_scan():
