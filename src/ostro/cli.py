@@ -60,11 +60,11 @@ def render_interval(vr: ValidatedReal, sig: int = 30) -> tuple[str, str]:
     vr is first refined to a width of about 10^-(sig+3) relative to its
     size.  When that width is out of reach (refinement raises
     PrecisionError, e.g. a leaf is a fixed decimal interval), the
-    enclosure vr already holds is printed instead; both contain the value.
+    tightest enclosure reached is printed instead; it contains the value.
     """
     scale = max(abs(vr.lo), abs(vr.hi), Fraction(1, 10**40))
     try:
-        vr = vr.refined(scale / 10 ** (sig + 3))
+        vr.refined(scale / 10 ** (sig + 3))
     except PrecisionError:
         pass
     return (format_sci(vr.lo, sig, "floor"), format_sci(vr.hi, sig, "ceil"))
@@ -107,7 +107,7 @@ def run_ostrowski_real(alpha: ContinuedFraction, gamma_spec, depth: int) -> str:
         raise DomainError("lattice gamma has no digit expansion: "
                           "use lat: with construct")
     exp = ostrowski_real(alpha, gamma_spec.value, depth)
-    tail = format_sci(alpha.d_abs(depth - 1).hi, 30, "ceil")
+    tail = render_interval(alpha.d_abs(depth - 1))[1]
     lines = ["k,coeff,tail_bound"]
     lines += [f"{k},{c},{tail}" for k, c in enumerate(exp.coeffs)]
     return "\n".join(lines) + "\n"

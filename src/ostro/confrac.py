@@ -232,18 +232,31 @@ def cf_from_terms(prefix, period=None) -> ContinuedFraction:
     return _from_exact((tail * p + p_prev) / (tail * q + q_prev))
 
 
+def decimal_bracket(body: str) -> tuple[Fraction, Fraction, Fraction]:
+    """(center, lo, hi) of a `dec:` body `<digits>@<prec>`, where lo and hi
+    are center -/+ 10^-prec; the alpha and gamma grammars share it.
+
+    ValueError for a missing or nonpositive precision or a bad literal.
+    """
+    digits, _, prec = body.partition("@")
+    if not prec:
+        raise ValueError("missing precision")
+    precision = int(prec)
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    try:
+        center = Fraction(digits)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad decimal literal {digits!r}") from None
+    eps = Fraction(1, 10**precision)
+    return center, center - eps, center + eps
+
+
 def cf_from_decimal(digits: str, precision: int) -> ContinuedFraction:
     """alpha from a decimal literal with `precision` trusted digits."""
     if precision < 1:
         raise DomainError("precision must be a positive digit count")
-    try:
-        center = Fraction(digits)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecParseError(f"bad decimal literal {digits!r}") from exc
-    eps = Fraction(1, 10**precision)
-    lo, hi = center - eps, center + eps
-    return ContinuedFraction(_certify(center, lo, hi), None,
-                             ValidatedReal(lo, hi))
+    return parse_alpha_spec(f"dec:{digits}@{precision}")
 
 
 def parse_alpha_spec(text: str) -> ContinuedFraction:
@@ -263,10 +276,10 @@ def parse_alpha_spec(text: str) -> ContinuedFraction:
             period = [int(part) for part in per.split(",")] if semi else None
             return cf_from_terms(prefix, period)
         if kind == "dec":
-            digits, _, prec = body.partition("@")
-            if not prec:
-                raise ValueError("missing precision")
-            return cf_from_decimal(digits, int(prec))
+            # Only the quotients shared by the whole bracket are certified.
+            center, lo, hi = decimal_bracket(body)
+            return ContinuedFraction(_certify(center, lo, hi), None,
+                                     ValidatedReal(lo, hi))
         raise ValueError(f"unknown alpha kind {kind!r}")
     except (ValueError, TypeError) as exc:
         raise SpecParseError(f"bad alpha spec {text!r}: {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .confrac import ContinuedFraction
+from .confrac import ContinuedFraction, decimal_bracket
 from .coprimesearch import (MAX_A_WINDOW, ProgressionQuery,
                             find_coprime_shift, growth_h)
 from .errors import (CheckFailedError, DomainError, PrecisionError,
@@ -63,15 +63,8 @@ def parse_gamma_spec(text: str) -> GammaSpec:
                 return LatticeGamma(0, int(value))
             return GenericGamma(ValidatedReal.exact_rational(value))
         if kind == "dec":
-            digits, _, prec = body.partition("@")
-            if not prec:
-                raise ValueError("missing precision")
-            precision = int(prec)
-            if precision < 1:
-                raise ValueError("precision must be positive")
-            center = Fraction(digits)
-            eps = Fraction(1, 10**precision)
-            return GenericGamma(ValidatedReal(center - eps, center + eps))
+            _, lo, hi = decimal_bracket(body)
+            return GenericGamma(ValidatedReal(lo, hi))
         raise ValueError(f"unknown gamma kind {kind!r}")
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad gamma spec {text!r}: {exc}") from exc
@@ -211,19 +204,18 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
     n_cross = cross_term(base, cf, a_pick)
     assert n_cross == n_a * conv.p - m_a * conv.q
 
+    b_pick = find_coprime_shift(
+        ProgressionQuery(m_a, n_a, conv.p, conv.q, caps.max_b))
+    if b_pick is None:
+        raise SearchCapError(
+            f"no coprime shift up to {caps.max_b} for i={i}, a={a_pick}, "
+            f"cross={n_cross}, base=({base.m},{base.n})")
+    # A_used: the first cap of the doubling schedule that reaches b.
     cap = max(16, math.ceil(
         8 * math.log(math.log(max(3, abs(n_cross)))) * 2**omega_cross))
-    while True:
-        cap = min(cap, caps.max_b)
-        b_pick = find_coprime_shift(
-            ProgressionQuery(m_a, n_a, conv.p, conv.q, cap))
-        if b_pick is not None:
-            break
-        if cap >= caps.max_b:
-            raise SearchCapError(
-                f"no coprime shift up to {cap} for i={i}, a={a_pick}, "
-                f"cross={n_cross}, base=({base.m},{base.n})")
+    while cap < b_pick:
         cap *= 2
+    cap = min(cap, caps.max_b)
 
     m, n = shifted_pair(base, cf, a_pick, b_pick)
     if n == 0:
@@ -240,13 +232,11 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
 
 
 def _quality(err: ValidatedReal, n: int, c: float) -> float:
-    """err.hi * |n| / exp(c*sqrt(log |n|)), read from err's first enclosure.
+    """err.hi * |n| / exp(c*sqrt(log |n|)), read from err's enclosure.
 
-    err.hi is the upper end at absolute width 2^-64, while the err_hi
-    column is printed from an enclosure refined to its printed digits.
-    Once err nears 2^-64 the ratio is a looser upper bound than err_hi
-    would give (about 1% for sqrt 2 with gamma 1/3 at i = 50); it is
-    kept so, because the pinned CSV bytes depend on it.
+    An exact err is enclosed to width 2^-64 relative to its size, so the
+    ratio is right to its printed 12 digits at any depth; an err over a
+    fixed interval reads the tightest enclosure its checks reached.
     """
     n_abs = abs(n)
     if n_abs == 0:
@@ -299,7 +289,7 @@ def n0_growth_check(cf: ContinuedFraction, gamma: GammaSpec, i_range,
     if isinstance(gamma, GenericGamma):
         expansion = ostrowski_real(cf, gamma.value, max(indices))
     rows = []
-    gamma_abs = abs(gvr.approx_float())
+    gamma_abs = abs(float(gvr))
     for i in indices:
         base = base_pair(cf, gamma, i, expansion=expansion)
         n0 = cross_term(base, cf, 0)

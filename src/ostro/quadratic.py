@@ -228,8 +228,25 @@ class QuadExt:
         return (Fraction((a << bits) + b * lo, scale),
                 Fraction((a << bits) + b * hi, scale))
 
+    def exponent_bound(self) -> int:
+        """An integer e with 2^e <= |value|, at most 3 below log2|value|."""
+        a, b, d = abs(self.a), abs(self.b), self.d
+        r = isqrt(d)
+        if self.a * self.b >= 0:
+            num, den = a + b * r, self.c
+        else:
+            # |a + b*sqrt(d)| = |a^2 - b^2 d| / (|a| + |b|*sqrt(d)).
+            num, den = abs(a * a - b * b * d), (a + b * (r + 1)) * self.c
+        if num == 0:
+            raise DomainError("zero has no exponent bound")
+        # num >= 2^(len(num) - 1) and den < 2^len(den).
+        return num.bit_length() - 1 - den.bit_length()
+
     def __float__(self):
-        lo, hi = self.enclosure(Fraction(1, 1 << 80))
+        if self.b == 0:
+            return float(Fraction(self.a, self.c))
+        bits = 80 + max(0, -self.exponent_bound())
+        lo, hi = self.enclosure(Fraction(1, 1 << bits))
         return float((lo + hi) / 2)
 
 

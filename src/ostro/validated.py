@@ -7,19 +7,19 @@ over its operands.  Every inequality the library decides between real
 numbers goes through this type: a comparison either certifies an answer or
 raises PrecisionError.  It never rounds.
 
-Precision follows Ziv's strategy (ACM TOMS 17(3), 1991): irrational QuadExt
-leaves, the only refinable ones, are enclosed to absolute width 2^-bits,
-64 bits first (which gives `lo` and `hi`), and an undecided question
-doubles the bits up to 1024.  Each value caches its tightest enclosure, so
-a chain of k nodes costs O(k) evaluations per doubling.  An exact leaf is
-enclosed, to 2^-64, only when an endpoint is read or an interval operand
-needs it: arithmetic between exact values stays in closed form and never
-builds an interval.
+Each value holds one enclosure, which only ever tightens; `lo`, `hi`,
+`width()` and `float()` read it.  Precision follows Ziv's strategy (ACM
+TOMS 17(3), 1991): irrational QuadExt leaves, the only refinable ones, are
+enclosed to absolute width 2^-bits, and an undecided question doubles the
+bits, from 64 up to 1024.  A request for a width starts at the first rung
+that can meet it.  A chain of k nodes costs O(k) evaluations per doubling.
+An exact leaf is enclosed only when an endpoint is read or an interval
+operand needs it, first to width 2^-64 relative to its size; arithmetic
+between exact values stays in closed form and never builds an interval.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -31,7 +31,6 @@ Exact = Union[Fraction, QuadExt]
 Enclosure = Tuple[Fraction, Fraction]
 
 _START_BITS = 64
-_START_WIDTH = Fraction(1, 1 << _START_BITS)
 _MAX_BITS = 1024
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
         "div": operator.truediv}
@@ -74,13 +73,21 @@ def _apply(op: str, x: Enclosure, y: Optional[Enclosure] = None) -> Enclosure:
     return min(ends), max(ends)
 
 
-def _decide(values, test, what: str):
+def _decide(values, test, what: str, width: Optional[Fraction] = None):
     """Ziv's loop: `test` on the enclosures of `values` at rising precision.
 
     `test` returns the answer, or None while the enclosures leave it open;
-    PrecisionError at the cap, or at once when no leaf can refine.
+    PrecisionError at the cap, or at once when no leaf can refine.  With a
+    `width`, the loop starts at the first rung with 2^-bits <= width.
     """
     bits = _START_BITS
+    if width is not None:
+        num, den = width.numerator, width.denominator
+        need = den.bit_length() - num.bit_length()
+        if need >= 0 and den > num << need:
+            need += 1
+        while bits < need and bits < _MAX_BITS:
+            bits *= 2
     while True:
         answer = test(*[v._enclose(bits) for v in values])
         if answer is not None:
@@ -129,36 +136,28 @@ def _nonzero(e: Enclosure) -> Optional[Enclosure]:
 class ValidatedReal:
     """Interval enclosure of a real number with certified queries."""
 
-    __slots__ = ("_exact", "_lo", "_hi", "_op", "_args", "_cache",
-                 "_refinable")
+    __slots__ = ("_exact", "_op", "_args", "_cache", "_refinable")
 
-    def __init__(self, lo, hi, _exact: Optional[Exact] = None):
-        self._exact = _exact
-        self._op = None
-        self._args = ()
-        self._refinable = isinstance(_exact, QuadExt)
-        if lo is None and _exact is not None:
-            self._cache = None  # enclosed on first read, by _start
-            return
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+    def __init__(self, lo, hi):
+        """The fixed interval [lo, hi]."""
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise DomainError("interval endpoints out of order")
-        self._lo = lo
-        self._hi = hi
+        self._exact, self._op, self._args = None, None, ()
         self._cache = (_START_BITS, lo, hi)
+        self._refinable = False
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def exact_rational(cls, value) -> "ValidatedReal":
-        return cls(None, None, _exact=Fraction(value))
+        return cls._leaf(Fraction(value))
 
     @classmethod
     def from_quadratic(cls, value: QuadExt) -> "ValidatedReal":
         if value.is_rational():
             return cls.exact_rational(value.as_fraction())
-        return cls(None, None, _exact=value)
+        return cls._leaf(value)
 
     @classmethod
     def wrap(cls, value) -> "ValidatedReal":
@@ -171,14 +170,19 @@ class ValidatedReal:
         raise TypeError(f"cannot interpret {value!r} as a validated real")
 
     @classmethod
+    def _leaf(cls, value: Exact) -> "ValidatedReal":
+        leaf = cls.__new__(cls)
+        leaf._exact, leaf._op, leaf._args = value, None, ()
+        leaf._refinable = isinstance(value, QuadExt)
+        # An irrational leaf is enclosed on first read, by _start.
+        leaf._cache = None if leaf._refinable else (_START_BITS, value, value)
+        return leaf
+
+    @classmethod
     def _node(cls, op: str, args: tuple, lo: Fraction,
               hi: Fraction) -> "ValidatedReal":
         node = cls.__new__(cls)
-        node._lo = lo
-        node._hi = hi
-        node._exact = None
-        node._op = op
-        node._args = args
+        node._exact, node._op, node._args = None, op, args
         node._cache = (_START_BITS, lo, hi)
         node._refinable = any(a._refinable for a in args)
         return node
@@ -186,15 +190,13 @@ class ValidatedReal:
     # -- basic accessors -----------------------------------------------------
 
     def _start(self) -> Enclosure:
-        """(lo, hi), the first enclosure; an exact leaf computes it here,
-        on first read."""
+        """(lo, hi), the enclosure held now.  An irrational leaf computes
+        its first one here, to width 2^-64 relative to its size."""
         if self._cache is None:
             ex = self._exact
-            lo, hi = (ex.enclosure(_START_WIDTH) if self._refinable
-                      else (ex, ex))
-            self._lo, self._hi = lo, hi
-            self._cache = (_START_BITS, lo, hi)
-        return self._lo, self._hi
+            bits = _START_BITS + max(0, -ex.exponent_bound())
+            self._cache = (bits, *ex.enclosure(Fraction(1, 1 << bits)))
+        return self._cache[1:]
 
     @property
     def lo(self) -> Fraction:
@@ -217,12 +219,9 @@ class ValidatedReal:
         tag = " exact" if self._exact is not None else ""
         return f"ValidatedReal[{self.lo}, {self.hi}]{tag}"
 
-    def approx_float(self) -> float:
+    def __float__(self):
         lo, hi = self._start()
         return float((lo + hi) / 2)
-
-    def __float__(self):
-        return self.approx_float()
 
     # -- precision -------------------------------------------------------------
 
@@ -256,23 +255,18 @@ class ValidatedReal:
         return self._cache[1:]
 
     def refined(self, width) -> "ValidatedReal":
-        """Enclosure of the same value with width <= the request.
+        """Tighten this value's enclosure to width <= the request; self.
 
-        Raises PrecisionError when the request cannot be met.
+        Raises PrecisionError when the request cannot be met; the
+        enclosure keeps whatever tightening was reached.
         """
         width = Fraction(width)
         if width <= 0:
             raise DomainError("width must be positive")
-        if self.width() <= width:
-            return self
-        if isinstance(self._exact, QuadExt):
-            lo, hi = self._exact.enclosure(width)
-            return ValidatedReal(lo, hi, _exact=self._exact)
-        lo, hi = _decide((self,), lambda e: e if e[1] - e[0] <= width else None,
-                         "refinement")
-        tight = copy.copy(self)
-        tight._lo, tight._hi = lo, hi
-        return tight
+        if self.width() > width:
+            _decide((self,), lambda e: e if e[1] - e[0] <= width else None,
+                    "refinement", width)
+        return self
 
     # -- certified queries -----------------------------------------------------
 
@@ -354,12 +348,11 @@ class ValidatedReal:
     def __neg__(self):
         if self._exact is not None:
             return ValidatedReal.wrap(-self._exact)
-        return ValidatedReal._node("neg", (self,), -self._hi, -self._lo)
+        return ValidatedReal._node("neg", (self,), *_apply("neg", self._start()))
 
     def __abs__(self):
         if self._exact is not None:
             ex = self._exact
             s = _exact_sign(ex)
             return ValidatedReal.wrap(-ex if s < 0 else ex)
-        return ValidatedReal._node("abs", (self,),
-                                   *_apply("abs", (self._lo, self._hi)))
+        return ValidatedReal._node("abs", (self,), *_apply("abs", self._start()))

@@ -2,6 +2,7 @@ import hashlib
 import signal
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,12 @@ def test_cf_decimal_horizon_exit(capsys):
     assert code == 3
 
 
+def test_cf_decimal_without_precision_is_a_parse_error(capsys):
+    code, out, err = run(["cf", "--alpha", "dec:1.41@0", "-K", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "precision must be positive" in err
+
+
 def test_parse_error_exit_and_no_partial_file(tmp_path, capsys):
     out_path = tmp_path / "out.csv"
     code, _, err = run(["cf", "--alpha", "quad:nope", "-K", "3",
@@ -135,6 +142,27 @@ def test_ostrowski_verbs(capsys):
     assert lines[0] == "k,coeff,tail_bound"
     assert len(lines) == 13
     assert [int(line.split(",")[1]) for line in lines[1:6]] == [1, 1, 1, 0, 2]
+
+
+def test_ostrowski_tail_bound_is_rendered_to_its_digits(capsys):
+    # tail_bound is |D_59| of sqrt 2, about 1.08e-23: an upper bound right
+    # to 29 digits, like every other printed endpoint.
+    code, out, _ = run(["ostrowski", "--alpha", "quad:2,0,1",
+                        "--gamma", "rat:1/3", "-K", "60"], capsys)
+    assert code == 0
+    tails = {line.split(",")[2] for line in out.strip().split("\n")[1:]}
+    assert len(tails) == 1
+    p, q = _sqrt2_convergent(59)
+    with mpmath.workdps(100):
+        ref = abs(q * mpmath.sqrt(2) - p)
+        assert ref <= mpmath.mpf(tails.pop()) <= ref * (1 + mpmath.mpf("1.01e-29"))
+
+
+def _sqrt2_convergent(k):
+    p_prev, q_prev, p, q = 1, 0, 1, 1
+    for _ in range(k):
+        p_prev, q_prev, p, q = p, q, 2 * p + p_prev, 2 * q + q_prev
+    return p, q
 
 
 def test_ostrowski_lattice_gamma_is_domain_error(capsys):
@@ -175,22 +203,38 @@ def test_construct_gamma_zero_rows(capsys):
         assert cells[1] == "0" and cells[2] == "0"
 
 
-@pytest.mark.parametrize("alpha, gamma, i, row", [
-    ("quad:10,0,1", "rat:36/17", 19,
-     "19,41,1,26966570971817557,8527578495552377,"
-     "4.09185972220401796356780625291e-14,0.00191458123634,1,58"),
-    ("quad:88,0,3", "rat:4/21", 25,
-     "25,40,1,552293766758709505,176624140067542938,"
-     "1.31064816472504235982505351451e-15,0.000777784605956,1,58"),
+def _reference_error(alpha, gamma, m, n):
+    """|n*alpha - m - gamma| in mpmath at 100 digits, for `quad:d,p,q`
+    alpha and `rat:` gamma."""
+    d, p, q = (int(part) for part in alpha[len("quad:"):].split(","))
+    g = Fraction(gamma[len("rat:"):])
+    with mpmath.workdps(100):
+        value = (p + mpmath.sqrt(d)) / q
+        return abs(n * value - m - mpmath.mpf(g.numerator) / g.denominator)
+
+
+@pytest.mark.parametrize("alpha, gamma, i", [
+    ("quad:10,0,1", "rat:36/17", 19),
+    ("quad:88,0,3", "rat:4/21", 25),
+    ("quad:2,0,1", "rat:0", 90),     # err ~ 1e-35, far below 2^-64
+    ("quad:125,3,2", "rat:0", 30),
 ])
-def test_construct_quality_follows_the_first_enclosure(alpha, gamma, i, row,
+def test_construct_quality_and_err_hi_match_a_reference(alpha, gamma, i,
                                                        capsys):
-    # quality is computed from err's first 2^-64 enclosure, whose bit count
-    # comes from the reduced ratio |b|/(c*width); these rows move otherwise.
+    # quality = err*n/exp(2*sqrt(log n)) is right to its 12 printed digits
+    # and err_hi is an upper bound right to 29 digits, at any depth.
     code, out, _ = run(["construct", "--alpha", alpha, "--gamma", gamma,
                         "--i-range", f"{i}:{i}"], capsys)
     assert code == 0
-    assert out.split("\n")[1] == row
+    header = out.split("\n")[0].split(",")
+    row = dict(zip(header, out.split("\n")[1].split(",")))
+    m, n = int(row["m"]), int(row["n"])
+    ref = _reference_error(alpha, gamma, m, n)
+    with mpmath.workdps(100):
+        err_hi = mpmath.mpf(row["err_hi"])
+        assert ref <= err_hi <= ref * (1 + mpmath.mpf("1.01e-29"))
+        quality = ref * n / mpmath.exp(2 * mpmath.sqrt(mpmath.log(n)))
+        assert abs(float(row["quality"]) / quality - 1) <= 1e-11
 
 
 def test_construct_warns_on_small_c(capsys):

@@ -7,7 +7,7 @@ import pytest
 from ostro import construct, numtheory
 from ostro.cli import render_interval
 from ostro.confrac import cf_from_quadratic, parse_alpha_spec
-from ostro.coprimesearch import growth_h
+from ostro.coprimesearch import ProgressionQuery, growth_h
 from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              SearchCaps, base_pair, construct_coprime_approx,
                              construct_sweep, cross_term, gamma_value,
@@ -38,6 +38,17 @@ def test_parse_gamma_spec():
     for bad in ("", "lat:1", "rat:", "dec:0.5", "dec:0.5@0", "x:1"):
         with pytest.raises(SpecParseError):
             parse_gamma_spec(bad)
+
+
+@pytest.mark.parametrize("body", ["0.5@0", "1.41@0", "0.5@-2", "0.5",
+                                  "0.5@x", "x@3", "1/0@3"])
+def test_dec_alpha_and_gamma_share_one_grammar(body):
+    # One refusal for both: a bad `dec:` body is a parse error (exit 2),
+    # never a domain error.
+    with pytest.raises(SpecParseError):
+        parse_gamma_spec(f"dec:{body}")
+    with pytest.raises(SpecParseError):
+        parse_alpha_spec(f"dec:{body}")
 
 
 def test_gamma_value_and_zero_detection():
@@ -314,6 +325,36 @@ def test_search_caps_exhaustion_reports():
         construct_coprime_approx(GOLDEN, gamma, 5, caps=SearchCaps(max_b=1))
     res = construct_sweep(GOLDEN, gamma, [5], caps=SearchCaps(max_b=1))
     assert isinstance(res[0][1], SearchCapError)
+
+
+def test_cap_used_is_the_first_schedule_cap_clipped_to_max_b():
+    # golden, gamma = 1/3, i = 5 needs b = 2: one scan finds it, and
+    # A_used reports the schedule's first cap (16 or more) clipped to 2.
+    gamma = parse_gamma_spec("rat:1/3")
+    assert construct_coprime_approx(GOLDEN, gamma, 5).cap_used >= 16
+    pair = construct_coprime_approx(GOLDEN, gamma, 5, caps=SearchCaps(max_b=2))
+    assert (pair.b, pair.cap_used) == (2, 2)
+    with pytest.raises(SearchCapError, match="no coprime shift up to 1 "):
+        construct_coprime_approx(GOLDEN, gamma, 5, caps=SearchCaps(max_b=1))
+
+
+def test_cap_used_doubles_until_it_reaches_b(monkeypatch):
+    # Real sweeps need b <= 2; a search that skips b <= 32 exercises the
+    # doubling: golden, gamma = 1/3, i = 5 starts its schedule at 16.
+    gamma = parse_gamma_spec("rat:1/3")
+    assert construct_coprime_approx(GOLDEN, gamma, 5).cap_used == 16
+    scan = construct.find_coprime_shift
+
+    def skip_32(q):
+        b = scan(ProgressionQuery(q.m + 32 * q.r, q.n + 32 * q.s, q.r, q.s,
+                                  q.a_max - 32))
+        return None if b is None else b + 32
+
+    monkeypatch.setattr(construct, "find_coprime_shift", skip_32)
+    pair = construct_coprime_approx(GOLDEN, gamma, 5)
+    assert 32 < pair.b <= 64 and pair.cap_used == 64
+    pair = construct_coprime_approx(GOLDEN, gamma, 5, caps=SearchCaps(max_b=40))
+    assert pair.cap_used == 40
 
 
 PI_FRAC_50 = "0.14159265358979323846264338327950288419716939937510"

@@ -139,3 +139,46 @@ def test_constructor_validates_d():
             QuadExt(d, 1, 1)
     with pytest.raises(DomainError):
         QuadExt(2, 0, 1) + QuadExt(3, 0, 1)
+
+
+def _tiny_differences():
+    """q*alpha - p for convergents p/q of alpha = (a + sqrt d)/c, from
+    order 1 down to about 1e-60."""
+    return st.builds(
+        lambda d, a, c, k: _convergent_error(d, a, c, k),
+        nonsquares, st.integers(-20, 20), st.integers(1, 9),
+        st.integers(0, 160))
+
+
+def _convergent_error(d, a, c, k):
+    alpha = QuadExt(d, Fraction(a, c), Fraction(1, c))
+    p_prev, q_prev, p, q = 1, 0, alpha.floor(), 1
+    x = alpha - p
+    for _ in range(k):
+        if abs(q * alpha - p) < Fraction(1, 10**60):
+            break
+        x = x.inverse()
+        t = x.floor()
+        x = x - t
+        p_prev, q_prev, p, q = p, q, t * p + p_prev, t * q + q_prev
+    return q * alpha - p
+
+
+@examples
+@given(st.one_of(
+    st.builds(lambda d, x, y: QuadExt(d, x, y), nonsquares, rationals,
+              rationals.filter(lambda y: y != 0)),
+    _tiny_differences()))
+def test_exponent_bound_brackets_the_size(v):
+    # 2^e <= |v| < 2^(e+3): a lower bound at most three bits loose.
+    e = v.exponent_bound()
+    with mpmath.workdps(DIGITS):
+        size = abs(mpmath.mpf(v.a) + v.b * mpmath.sqrt(v.d)) / v.c
+        assert mpmath.mpf(2) ** e <= size < mpmath.mpf(2) ** (e + 3)
+
+
+def test_exponent_bound_refuses_zero():
+    with pytest.raises(DomainError):
+        QuadExt(2, 0, 0).exponent_bound()
+    assert float(QuadExt(2, 0, 0)) == 0.0
+    assert float(QuadExt(2, Fraction(-1, 3), 0)) == -1 / 3

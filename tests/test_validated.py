@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostro.confrac import parse_alpha_spec
 from ostro.construct import construct_sweep, parse_gamma_spec
@@ -67,9 +69,11 @@ def test_interval_node_chain_refines(monkeypatch):
     s = v + v  # 2*sqrt(2), interval path over one refinable leaf
     assert v.exact is None and s.exact is None
     widths = _record_widths(monkeypatch)
-    refined = s.refined(Fraction(1, 10**40))
-    assert refined.width() <= Fraction(1, 10**40)
-    assert widths == [Fraction(1, 2**128), Fraction(1, 2**256)]
+    # 1e-40 is about 2^-133: the loop starts at the first rung that can
+    # meet it, and tightens s in place.
+    assert s.refined(Fraction(1, 10**40)) is s
+    assert s.width() <= Fraction(1, 10**40)
+    assert widths == [Fraction(1, 2**256)]
     assert (s - 2).sign() == 1
     assert s < 3
 
@@ -166,6 +170,22 @@ def test_exact_arithmetic_builds_no_enclosure(monkeypatch):
     assert (v.lo, hi) == v.exact.enclosure(Fraction(1, 2**64))
 
 
+@pytest.mark.parametrize("width, rung", [
+    (Fraction(1, 2**128), 128),      # exactly a rung
+    (Fraction(1, 2**128 + 1), 256),  # just past it
+    (Fraction(3, 2**130), 256),
+    (Fraction(1, 10**40), 256),
+    (Fraction(1, 10**200), 1024),
+])
+def test_exact_leaf_refines_with_one_enclosure(monkeypatch, width, rung):
+    leaf = ValidatedReal.from_quadratic(QuadExt(2, 0, 1))
+    widths = _record_widths(monkeypatch)
+    assert leaf.refined(width) is leaf
+    assert leaf.width() <= width
+    # The first read encloses the leaf; the refinement costs one more.
+    assert widths[1:] == [Fraction(1, 2**rung)]
+
+
 def test_sweep_encloses_at_most_three_times_per_row(monkeypatch):
     alpha = parse_alpha_spec("quad:2,0,1")
     gamma = parse_gamma_spec("rat:1/3")
@@ -173,3 +193,77 @@ def test_sweep_encloses_at_most_three_times_per_row(monkeypatch):
     rows = construct_sweep(alpha, gamma, range(5, 31))
     assert all(not isinstance(res, Exception) for _, res in rows)
     assert len(widths) <= 3 * len(rows)
+
+
+# -- one enclosure per value -------------------------------------------------
+
+examples = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+nonsquares = st.sampled_from([2, 3, 5, 7, 10, 13, 61])
+small = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+def _value(kind, d, x, y, k):
+    """(v, exact value or None): an exact leaf, a node over one, or a fixed
+    interval; k scales the value down to about 10^-k."""
+    scale = Fraction(1, 10**k)
+    value = QuadExt(d, x, y or 1)
+    if kind == "leaf":
+        return ValidatedReal.from_quadratic(value * scale), value * scale
+    if kind == "node":
+        leaf = ValidatedReal.from_quadratic(value)
+        return (leaf + ValidatedReal(0, 0)) * scale, value * scale
+    return ValidatedReal(x * scale, (x + abs(y) + 1) * scale), None
+
+
+values = st.builds(_value, st.sampled_from(["leaf", "node", "interval"]),
+                   nonsquares, small, small, st.integers(0, 60))
+
+
+@examples
+@given(values, st.integers(1, 250), st.integers(1, 1000))
+def test_refined_tightens_in_place(value, bits, num):
+    v, _ = value
+    width = Fraction(num, 1 << bits)
+    try:
+        assert v.refined(width) is v
+    except PrecisionError:
+        # Only a fixed interval cannot tighten.
+        assert v.exact is None and v.width() > width
+        return
+    assert v.width() <= width
+
+
+@examples
+@given(values, st.lists(st.tuples(
+    st.sampled_from(["lt", "ge", "sign", "floor", "refined"]),
+    small, st.integers(1, 250)), max_size=8))
+def test_enclosure_only_ever_tightens(value, steps):
+    v, exact = value
+    lo, hi = v.lo, v.hi
+    for op, r, bits in steps:
+        try:
+            if op == "lt":
+                v < r * Fraction(1, 10**bits)
+            elif op == "ge":
+                v >= r
+            elif op == "sign":
+                v.sign()
+            elif op == "floor":
+                v.floor()
+            else:
+                v.refined(Fraction(1, 1 << bits))
+        except PrecisionError:
+            pass
+        assert lo <= v.lo <= v.hi <= hi
+        if exact is not None:
+            assert v.lo <= exact <= v.hi
+        lo, hi = v.lo, v.hi
+
+
+def test_first_enclosure_is_relative_to_the_value():
+    # D_59 of sqrt 2 is about 1.08e-23, below 2^-64: its first enclosure,
+    # and so float(), still carries about 19 correct digits.
+    d59 = abs(parse_alpha_spec("quad:2,0,1").d_value(59))
+    assert d59.width() <= d59.lo * Fraction(1, 2**64)
+    assert abs(float(d59) / 1.0800873502109327e-23 - 1) < 1e-15
