@@ -11,6 +11,7 @@ byte-identical files.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -29,44 +30,41 @@ C_THRESHOLD = 2.0 * math.sqrt(math.log(2.0))
 
 CONSTRUCT_HEADER = "i,a,b,m,n,err_hi,quality,omega_Nia,A_used"
 
+EXIT_CODES = {SpecParseError: 2, PrecisionError: 3, DomainError: 4,
+              SearchCapError: 4, OSError: 5}
+
 
 def format_sci(x: Fraction, sig: int, rounding: str) -> str:
-    """Fraction as `sig` significant digits, rounded toward -inf or +inf."""
-    num, den = x.numerator, x.denominator
-    if num == 0:
+    """Fraction as `sig` significant digits, `d.ddd...e<exp>`, rounded
+    toward -inf ("floor") or +inf ("ceil") by one exact `decimal` division,
+    at any size."""
+    if x == 0:
         return "0"
-    neg = num < 0
-    num = abs(num)
-    # num/den lies in [10^e, 10^(e+1)) for e = the digit-count difference,
-    # or for one less.
-    e = len(str(num)) - len(str(den))
-    if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
-        e -= 1
-    k = sig - 1 - e
-    mant, rest = divmod(num * 10 ** max(k, 0), den * 10 ** max(-k, 0))
-    if rest and (rounding == "ceil") != neg:  # round outward
-        mant += 1
-        if mant == 10**sig:
-            mant //= 10
-            e += 1
-    digits = str(mant)
-    body = digits[0] + "." + digits[1:]
-    return f"{'-' if neg else ''}{body}e{e}"
+    mode = decimal.ROUND_FLOOR if rounding == "floor" else decimal.ROUND_CEILING
+    ctx = decimal.Context(prec=sig, rounding=mode, Emin=decimal.MIN_EMIN,
+                          Emax=decimal.MAX_EMAX)
+    q = ctx.divide(decimal.Decimal(x.numerator), x.denominator)
+    e = q.adjusted()
+    # q has at most `sig` digits: the shift to a `sig`-digit integer is exact.
+    digits = str(abs(int(q.scaleb(sig - 1 - e, ctx))))
+    return f"{'-' if q.is_signed() else ''}{digits[0]}.{digits[1:]}e{e}"
 
 
 def render_interval(vr: ValidatedReal, sig: int = 30) -> tuple[str, str]:
     """Outward decimal endpoints of vr, rounded to `sig` digits.
 
-    vr is first refined to a width of about 10^-(sig+3) relative to its
-    size.  When that width is out of reach (refinement raises
-    PrecisionError, e.g. a leaf is a fixed decimal interval), the
-    tightest enclosure reached is printed instead; it contains the value.
+    vr is first refined to width 10^-(sig+3) relative to max(|lo|, |hi|),
+    at any size; only the enclosure [0, 0] is printed as it stands.  When
+    that width is out of reach (refinement raises PrecisionError: a leaf
+    is a fixed decimal interval, or the 2^-1024 cap), the tightest
+    enclosure reached is printed instead; it contains the value.
     """
-    scale = max(abs(vr.lo), abs(vr.hi), Fraction(1, 10**40))
-    try:
-        vr.refined(scale / 10 ** (sig + 3))
-    except PrecisionError:
-        pass
+    scale = max(abs(vr.lo), abs(vr.hi))
+    if scale:
+        try:
+            vr.refined(scale / 10 ** (sig + 3))
+        except PrecisionError:
+            pass
     return (format_sci(vr.lo, sig, "floor"), format_sci(vr.hi, sig, "ceil"))
 
 
@@ -244,30 +242,28 @@ def _dispatch(args: argparse.Namespace) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # argv and CSV cells hold integers of any size, so Python's int<->str
+    # digit limit (3.11 and late 3.10 releases) is lifted while a verb runs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         text = _dispatch(args)
         if args.output == "-":
             sys.stdout.write(text)
         else:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except SpecParseError as exc:
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return int(exc.code or 0)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, SearchCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

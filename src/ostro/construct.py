@@ -242,7 +242,7 @@ def _quality(err: ValidatedReal, n: int, c: float) -> float:
     if n_abs == 0:
         raise DomainError("quality undefined for n = 0")
     scale = math.exp(c * math.sqrt(math.log(n_abs))) if n_abs > 1 else 1.0
-    return float(err.hi) * n_abs / scale
+    return float(err.hi * n_abs) / scale
 
 
 def construct_sweep(cf: ContinuedFraction, gamma: GammaSpec, i_range,

@@ -28,7 +28,6 @@ class RecordEntry:
     n: int
     m: int
     err: ValidatedReal
-    coprime: bool = True
 
 
 def approx_error(cf: ContinuedFraction, gamma, m: int, n: int) -> ValidatedReal:

@@ -24,10 +24,8 @@ def _decades(lo: float, hi: float) -> tuple[int, int]:
     return d0, d1
 
 
-def render_quality_plot(points: list[tuple[float, float]],
-                        x_label: str = "i",
-                        y_label: str = "quality") -> str:
-    """SVG of y vs x with both axes logarithmic.
+def render_quality_plot(points: list[tuple[float, float]]) -> str:
+    """SVG of quality (y) vs i (x) with both axes logarithmic.
 
     Points with a nonpositive or non-finite coordinate cannot be placed on
     log axes and are dropped.  An empty point list yields axes only.
@@ -80,10 +78,10 @@ def render_quality_plot(points: list[tuple[float, float]],
                 f'fill="#1f77b4"/>')
     parts.append(
         f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 12}" font-size="14" '
-        f'text-anchor="middle">{x_label}</text>')
+        'text-anchor="middle">i</text>')
     parts.append(
         f'<text x="16" y="{(_MT + _H - _MB) // 2}" font-size="14" '
         f'text-anchor="middle" transform="rotate(-90 16 '
-        f'{(_MT + _H - _MB) // 2})">{y_label}</text>')
+        f'{(_MT + _H - _MB) // 2})">quality</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -46,10 +46,7 @@ def _exact_combine(op: str, a: Exact, b: Exact):
     """Closed-form result of a binary op, or None when fields are mixed."""
     if isinstance(a, QuadExt) and isinstance(b, QuadExt) and a.d != b.d:
         return None
-    try:
-        return _OPS[op](a, b)
-    except ZeroDivisionError:
-        raise DomainError("division by an exact zero")
+    return _OPS[op](a, b)
 
 
 def _apply(op: str, x: Enclosure, y: Optional[Enclosure] = None) -> Enclosure:

@@ -1,5 +1,6 @@
 import hashlib
 import signal
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostro.cli import (CONSTRUCT_HEADER, format_sci, main, render_interval)
+from ostro.confrac import parse_alpha_spec
 from ostro.validated import ValidatedReal
 
 import fixtures
@@ -88,6 +90,33 @@ def test_render_interval_brackets_value():
     assert hi == "1.42857142858e-1"
 
 
+def test_format_sci_past_the_int_str_digit_limit():
+    # Numerator and denominator pass Python's 4300-digit int->str limit.
+    x = Fraction(10**5000 + 7, 3 * 10**4990)
+    assert format_sci(x, 30, "floor") == "3.33333333333333333333333333333e9"
+    assert format_sci(x, 30, "ceil") == "3.33333333333333333333333333334e9"
+
+
+def test_render_interval_of_a_value_past_the_digit_limit():
+    x = Fraction(1, 3**10000)  # about 6.13e-4772
+    lo, hi = render_interval(ValidatedReal.exact_rational(x))
+    assert Fraction(lo) < x < Fraction(hi)
+    assert Fraction(hi) - Fraction(lo) <= x * Fraction(2, 10**29)
+
+
+@pytest.mark.parametrize("k", [150, 300, 700])
+def test_render_interval_keeps_30_digits_below_1e_40(k):
+    # D_k of sqrt 2 is about 1.6e-58 at k = 150 and 2e-268 at k = 700; each
+    # printed pair brackets it to two units in the 30th digit.
+    lo, hi = render_interval(parse_alpha_spec("quad:2,0,1").convergent(k).D)
+    p, q = _sqrt2_convergent(k)
+    with mpmath.workdps(1200):
+        ref = q * mpmath.sqrt(2) - p
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        assert lo <= ref <= hi
+        assert hi - lo <= abs(ref) * mpmath.mpf("2e-29")
+
+
 def test_cf_verb(capsys):
     code, out, _ = run(["cf", "--alpha", "quad:5,1,2", "-K", "5"], capsys)
     assert code == 0
@@ -99,6 +128,18 @@ def test_cf_verb(capsys):
     assert ps == [1, 2, 3, 5, 8, 13]
     code, out, _ = run(["cf", "--alpha", "quad:2,0,1", "-K", "4"], capsys)
     assert out.strip().split("\n")[-1].startswith("4,2,41,29,")
+
+
+def test_cf_reads_and_prints_integers_past_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    quotient = "1" * 4400
+    code, out, err = run(["cf", "--alpha", f"cf:1,{quotient};1", "-K", "2"],
+                         capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[1] for row in rows] == ["1", quotient, "1"]
+    assert rows[1][2] == "1" * 4399 + "2"  # p_1 = a_0*a_1 + 1
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_cf_decimal_horizon_exit(capsys):

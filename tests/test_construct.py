@@ -2,6 +2,7 @@ import math
 import signal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ostro import construct, numtheory
@@ -228,6 +229,20 @@ def test_quality_values():
     unit = construct_coprime_approx(SQRT2, LatticeGamma(0, 0), 0)
     assert unit.n == 1
     assert unit.quality == float(unit.err.hi)
+
+
+def test_quality_past_the_float_range_of_n():
+    # |n| passes 1.8e308 from i = 806 on, while err*|n| stays about 0.4.
+    rows = construct_sweep(SQRT2, parse_gamma_spec("rat:0"), range(806, 811))
+    assert [i for i, _ in rows] == list(range(806, 811))
+    for _, res in rows:
+        assert isinstance(res, ApproxPair)
+        n = abs(res.n)
+        assert n > 2**1024
+        with mpmath.workdps(50):
+            ref = (mpmath.mpf(res.err.hi.numerator) / res.err.hi.denominator
+                   * n / mpmath.exp(2 * mpmath.sqrt(mpmath.log(n))))
+            assert abs(res.quality / ref - 1) <= 1e-12
 
 
 def test_n0_growth_check():
