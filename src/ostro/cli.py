@@ -2,10 +2,11 @@
 
 Verbs: cf, ostrowski, construct, oracle, plot.  All outputs are
 deterministic CSV (or SVG for plot): identical invocations produce
-byte-identical files.  Exit codes are a stable contract:
+byte-identical files.  Exit codes are a stable contract, read, like the
+`status:` word of a failed `construct` row, from the error type:
 
-    0 success, 2 parse error, 3 precision exhausted, 4 domain error,
-    5 I/O error.
+    0 success, 2 parse error, 3 precision exhausted, 4 domain error or
+    search cap, 5 I/O error; a traceback with exit 1 is a program fault.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from fractions import Fraction
 from .confrac import ContinuedFraction, parse_alpha_spec
 from .construct import (ApproxPair, LatticeGamma, construct_sweep,
                         gamma_value, parse_gamma_spec)
-from .errors import (DomainError, PrecisionError, SearchCapError,
-                     SpecParseError)
+from .errors import DomainError, OstroError, PrecisionError, SpecParseError
 from .oracle import best_coprime_approx
 from .ostrowski import ostrowski_int, ostrowski_real
 from .svgplot import render_quality_plot
@@ -29,9 +29,6 @@ from .validated import ValidatedReal
 C_THRESHOLD = 2.0 * math.sqrt(math.log(2.0))
 
 CONSTRUCT_HEADER = "i,a,b,m,n,err_hi,quality,omega_Nia,A_used"
-
-EXIT_CODES = {SpecParseError: 2, PrecisionError: 3, DomainError: 4,
-              SearchCapError: 4, OSError: 5}
 
 
 def format_sci(x: Fraction, sig: int, rounding: str) -> str:
@@ -120,18 +117,8 @@ def run_construct(alpha: ContinuedFraction, gamma_spec, i_range, c: float) -> st
                 f"{res.i},{res.a},{res.b},{res.m},{res.n},{err_hi},"
                 f"{res.quality:.12g},{res.omega_cross},{res.cap_used}")
         else:
-            lines.append(f"{i},,,,,,,,status:{_status_of(res)}")
+            lines.append(f"{i},,,,,,,,status:{res.status}")
     return "\n".join(lines) + "\n"
-
-
-def _status_of(exc: Exception) -> str:
-    if isinstance(exc, PrecisionError):
-        return "precision"
-    if isinstance(exc, SearchCapError):
-        return "search-cap"
-    if isinstance(exc, DomainError):
-        return "domain"
-    return "error"
 
 
 def run_oracle(alpha: ContinuedFraction, gamma_spec, n_max: int) -> str:
@@ -236,7 +223,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         return run_oracle(parse_alpha_spec(args.alpha),
                           parse_gamma_spec(args.gamma), args.n_max)
     if args.verb == "plot":
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8", errors="replace") as fh:
             return run_plot(fh.read())
     raise SpecParseError(f"unknown verb {args.verb!r}")
 
@@ -257,10 +244,12 @@ def main(argv=None) -> int:
                 fh.write(text)
     except SystemExit as exc:  # argparse: --help, or a usage error
         return int(exc.code or 0)
-    except tuple(EXIT_CODES) as exc:
+    except (OstroError, OSError) as exc:
+        code = 5 if isinstance(exc, OSError) else exc.exit_code
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items()
-                    if isinstance(exc, kind))
+        return code
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -28,6 +28,12 @@ from .errors import (DomainError, PrecisionError, RationalInputError,
 from .quadratic import QuadExt, is_square
 from .validated import ValidatedReal
 
+# The largest `dec:` precision or literal exponent.  The work grows with
+# the number given, not with its length; Linux caps one command-line
+# argument at 2^17 bytes (MAX_ARG_STRLEN), so no argument can spell out
+# more digits than this.
+DEC_DIGIT_LIMIT = 1 << 17
+
 
 @dataclass(frozen=True)
 class Convergent:
@@ -236,7 +242,8 @@ def decimal_bracket(body: str) -> tuple[Fraction, Fraction, Fraction]:
     """(center, lo, hi) of a `dec:` body `<digits>@<prec>`, where lo and hi
     are center -/+ 10^-prec; the alpha and gamma grammars share it.
 
-    ValueError for a missing or nonpositive precision or a bad literal.
+    ValueError for a missing or nonpositive precision, a bad literal, or
+    a precision or literal exponent above DEC_DIGIT_LIMIT.
     """
     digits, _, prec = body.partition("@")
     if not prec:
@@ -244,6 +251,12 @@ def decimal_bracket(body: str) -> tuple[Fraction, Fraction, Fraction]:
     precision = int(prec)
     if precision < 1:
         raise ValueError("precision must be positive")
+    try:
+        exponent = int(digits.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # Fraction refuses the literal below
+    if max(precision, abs(exponent)) > DEC_DIGIT_LIMIT:
+        raise ValueError(f"a precision or exponent above {DEC_DIGIT_LIMIT}")
     try:
         center = Fraction(digits)
     except (ValueError, ZeroDivisionError):

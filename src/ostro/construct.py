@@ -19,8 +19,8 @@ from typing import Optional, Union
 from .confrac import ContinuedFraction, decimal_bracket
 from .coprimesearch import (MAX_A_WINDOW, ProgressionQuery,
                             find_coprime_shift, growth_h)
-from .errors import (CheckFailedError, DomainError, PrecisionError,
-                     SearchCapError, SpecParseError)
+from .errors import (CheckFailedError, DomainError, OstroError,
+                     PrecisionError, SearchCapError, SpecParseError)
 from .numtheory import omega_window
 from .ostrowski import RealOstrowski, ostrowski_real
 from .validated import ValidatedReal
@@ -202,7 +202,8 @@ def construct_coprime_approx(cf: ContinuedFraction, gamma: GammaSpec, i: int,
 
     m_a, n_a = shifted_pair(base, cf, a_pick, 0)
     n_cross = cross_term(base, cf, a_pick)
-    assert n_cross == n_a * conv.p - m_a * conv.q
+    if n_cross != n_a * conv.p - m_a * conv.q:
+        raise CheckFailedError(f"cross term disagrees with the pair at i={i}")
 
     b_pick = find_coprime_shift(
         ProgressionQuery(m_a, n_a, conv.p, conv.q, caps.max_b))
@@ -247,12 +248,13 @@ def _quality(err: ValidatedReal, n: int, c: float) -> float:
 
 def construct_sweep(cf: ContinuedFraction, gamma: GammaSpec, i_range,
                     c: float = 2.0, caps: SearchCaps = SearchCaps()
-                    ) -> list[tuple[int, Union[ApproxPair, Exception]]]:
-    """Run the construction across indices, never aborting the sweep.
+                    ) -> list[tuple[int, Union[ApproxPair, OstroError]]]:
+    """Run the construction across indices, never aborting on a typed error.
 
-    Per-index failures are returned in place of the pair.  A generic
-    gamma is expanded once, to the deepest index; if that depth cannot be
-    certified, each row expands to its own index instead.
+    Each index's OstroError is returned in place of its pair; any other
+    exception is a fault and propagates.  A generic gamma is expanded
+    once, to the deepest index; if that depth cannot be certified, each
+    row expands to its own index instead.
     """
     indices = list(i_range)
     depth = max(indices)
@@ -264,12 +266,12 @@ def construct_sweep(cf: ContinuedFraction, gamma: GammaSpec, i_range,
             expansion = ostrowski_real(cf, gamma.value, depth)
         except PrecisionError:
             pass  # each row expands to its own index
-    out: list[tuple[int, Union[ApproxPair, Exception]]] = []
+    out: list[tuple[int, Union[ApproxPair, OstroError]]] = []
     for i in indices:
         try:
             out.append((i, construct_coprime_approx(
                 cf, gamma, i, c, caps, expansion=expansion)))
-        except Exception as exc:  # recorded, not raised
+        except OstroError as exc:
             out.append((i, exc))
     return out
 

@@ -1,16 +1,21 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the failure policy.
 
-The CLI maps these onto its stable exit codes: parse errors exit 2,
-precision exhaustion exits 3, domain errors exit 4, I/O errors exit 5.
+A typed error carries its own report: `status` is the word a failed
+`construct` row prints (`status:<word>`), and `exit_code` is the code the
+command line exits with (None: the CLI re-raises it).  Subclasses
+inherit both.  Only these errors become rows or exit codes; any other
+exception is a program fault and propagates as a traceback.
 """
 
 
 class OstroError(Exception):
     """Base class for all library errors."""
+    status, exit_code = "error", None
 
 
 class DomainError(OstroError):
     """Input is outside an operation's mathematical domain."""
+    status, exit_code = "domain", 4
 
 
 class RationalInputError(DomainError):
@@ -22,6 +27,7 @@ class PrecisionError(OstroError):
 
     Also raised when a partial-quotient request exceeds a source's horizon.
     """
+    status, exit_code = "precision", 3
 
 
 class FactorBudgetError(DomainError):
@@ -34,6 +40,7 @@ class IllegalExpansionError(DomainError):
 
 class SearchCapError(OstroError):
     """A bounded search exhausted its cap without finding a witness."""
+    status, exit_code = "search-cap", 4
 
 
 class CheckFailedError(OstroError):
@@ -42,3 +49,4 @@ class CheckFailedError(OstroError):
 
 class SpecParseError(OstroError, ValueError):
     """An alpha/gamma specification string failed to parse."""
+    exit_code = 2

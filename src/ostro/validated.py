@@ -12,10 +12,12 @@ Each value holds one enclosure, which only ever tightens; `lo`, `hi`,
 TOMS 17(3), 1991): irrational QuadExt leaves, the only refinable ones, are
 enclosed to absolute width 2^-bits, and an undecided question doubles the
 bits, from 64 up to 1024.  A request for a width starts at the first rung
-that can meet it.  A chain of k nodes costs O(k) evaluations per doubling.
-An exact leaf is enclosed only when an endpoint is read or an interval
-operand needs it, first to width 2^-64 relative to its size; arithmetic
-between exact values stays in closed form and never builds an interval.
+that can meet it; one below 2^-1024 may climb to 1024 bits below the
+size of the value, so a tiny value keeps its digits.  A chain of k nodes
+costs O(k) evaluations per doubling.  An exact leaf is enclosed only when
+an endpoint is read or an interval operand needs it, first to width 2^-64
+relative to its size; arithmetic between exact values stays in closed
+form and never builds an interval.
 """
 
 from __future__ import annotations
@@ -75,24 +77,31 @@ def _decide(values, test, what: str, width: Optional[Fraction] = None):
 
     `test` returns the answer, or None while the enclosures leave it open;
     PrecisionError at the cap, or at once when no leaf can refine.  With a
-    `width`, the loop starts at the first rung with 2^-bits <= width.
+    `width`, the loop starts at the first rung with 2^-bits <= width; for
+    a width below 2^-_MAX_BITS the cap is _MAX_BITS bits below the size
+    of the value instead, so a tiny value is refined relative to itself.
     """
-    bits = _START_BITS
+    bits, top = _START_BITS, _MAX_BITS
     if width is not None:
         num, den = width.numerator, width.denominator
         need = den.bit_length() - num.bit_length()
         if need >= 0 and den > num << need:
             need += 1
-        while bits < need and bits < _MAX_BITS:
+        if need > _MAX_BITS:
+            size = max(map(abs, values[0]._start()))
+            top += max(0, size.denominator.bit_length()
+                       - size.numerator.bit_length())
+        while bits < need and bits < top:
             bits *= 2
+        bits = min(bits, top)
     while True:
         answer = test(*[v._enclose(bits) for v in values])
         if answer is not None:
             return answer
-        if bits >= _MAX_BITS or not any(v._refinable for v in values):
+        if bits >= top or not any(v._refinable for v in values):
             raise PrecisionError(
                 f"{what} undecidable at available precision (2^-{bits})")
-        bits *= 2
+        bits = min(2 * bits, top)
 
 
 def _lt(a: Enclosure, b: Enclosure) -> Optional[bool]:

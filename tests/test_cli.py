@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostro import cli, construct
 from ostro.cli import (CONSTRUCT_HEADER, format_sci, main, render_interval)
 from ostro.confrac import parse_alpha_spec
+from ostro.errors import CheckFailedError
 from ostro.validated import ValidatedReal
 
 import fixtures
@@ -111,6 +113,19 @@ def test_render_interval_keeps_30_digits_below_1e_40(k):
     lo, hi = render_interval(parse_alpha_spec("quad:2,0,1").convergent(k).D)
     p, q = _sqrt2_convergent(k)
     with mpmath.workdps(1200):
+        ref = q * mpmath.sqrt(2) - p
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        assert lo <= ref <= hi
+        assert hi - lo <= abs(ref) * mpmath.mpf("2e-29")
+
+
+@pytest.mark.parametrize("k", [1000, 3000])
+def test_render_interval_keeps_30_digits_below_2_to_the_minus_1024(k):
+    # D_1000 of sqrt 2 is about 6.9e-384 and D_3000 about 2e-1149, both
+    # past the absolute 2^-1024 rung: the refinement is relative instead.
+    lo, hi = render_interval(parse_alpha_spec("quad:2,0,1").convergent(k).D)
+    p, q = _sqrt2_convergent(k)
+    with mpmath.workdps(2 * len(str(q)) + 60):
         ref = q * mpmath.sqrt(2) - p
         lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
         assert lo <= ref <= hi
@@ -278,6 +293,64 @@ def test_construct_quality_and_err_hi_match_a_reference(alpha, gamma, i,
         assert abs(float(row["quality"]) / quality - 1) <= 1e-11
 
 
+def test_construct_err_hi_below_2_to_the_minus_1024(capsys):
+    # err is about 2.5e-307 at i = 800, below 2^-1019.
+    code, out, _ = run(["construct", "--alpha", "quad:2,0,1",
+                        "--gamma", "rat:0", "--i-range", "800:800"], capsys)
+    assert code == 0
+    row = dict(zip(CONSTRUCT_HEADER.split(","), out.split("\n")[1].split(",")))
+    m, n = int(row["m"]), int(row["n"])
+    with mpmath.workdps(2 * len(str(n)) + 60):
+        ref = abs(n * mpmath.sqrt(2) - m)
+        err_hi = mpmath.mpf(row["err_hi"])
+        assert ref <= err_hi <= ref * (1 + mpmath.mpf("1.01e-29"))
+
+
+def test_construct_rows_name_their_error_type(capsys):
+    # sqrt 2 to 50 decimals certifies quotients up to a_64: i = 62 and 64
+    # fail their factoring budget, and rows past the digits are precision.
+    alpha = "dec:1.41421356237309504880168872420969807856967187537694@50"
+    code, out, _ = run(["construct", "--alpha", alpha, "--gamma", "rat:1/3",
+                        "--i-range", "62:67"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == [
+        "status:domain", "64", "status:domain", "status:precision",
+        "status:precision", "status:precision"]
+    assert rows[1].startswith("63,219,1,")
+
+
+def _planted(exc):
+    def stage(*args):
+        raise exc
+    return stage
+
+
+def test_construct_lets_a_fault_propagate(monkeypatch, capsys):
+    # A fault is not a typed error: no status row, no exit code.
+    monkeypatch.setattr(construct, "find_coprime_shift",
+                        _planted(ZeroDivisionError("planted fault")))
+    with pytest.raises(ZeroDivisionError, match="planted fault"):
+        main(["construct", "--alpha", "quad:2,0,1", "--gamma", "rat:1/3",
+              "--i-range", "5:6"])
+
+
+def test_construct_failed_check_is_an_error_row(monkeypatch, capsys):
+    monkeypatch.setattr(construct, "find_coprime_shift",
+                        _planted(CheckFailedError("planted check")))
+    code, out, _ = run(["construct", "--alpha", "quad:2,0,1",
+                        "--gamma", "rat:1/3", "--i-range", "5:6"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["5,,,,,,,,status:error",
+                                    "6,,,,,,,,status:error"]
+    # Outside a row a failed check has no exit code: the CLI re-raises it.
+    monkeypatch.setattr(cli, "best_coprime_approx",
+                        _planted(CheckFailedError("planted check")))
+    with pytest.raises(CheckFailedError, match="planted check"):
+        main(["oracle", "--alpha", "quad:2,0,1", "--gamma", "rat:0",
+              "--n-max", "12"])
+
+
 def test_construct_warns_on_small_c(capsys):
     code, _, err = run(["construct", "--alpha", "quad:2,0,1",
                         "--gamma", "rat:0", "--i-range", "5:6",
@@ -361,6 +434,42 @@ def test_plot_drops_non_finite_points(row, tmp_path, capsys):
     assert code == 0
     assert out == plain.read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == fixtures.PLOT_SVG_SHA256
+
+
+def test_plot_reads_a_non_utf8_file_as_malformed(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe\x00i\x00,\x00q\n\x80\x81\n")
+    code, out, err = run(["plot", "--input", str(bad)], capsys)
+    assert (code, out) == (4, "")
+    assert "CSV lacks i/quality columns" in err
+    # An undecodable cell in a data row is skipped like any unparsable one.
+    csv = tmp_path / "c.csv"
+    assert main(["construct", "--alpha", "quad:2,0,1", "--gamma", "rat:1/3",
+                 "--i-range", "5:14", "-o", str(csv)]) == 0
+    extra = tmp_path / "extra.csv"
+    extra.write_bytes(csv.read_bytes() + b"15,,,,,,0.\xff5,,\n")
+    code, out, _ = run(["plot", "--input", str(extra)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == fixtures.PLOT_SVG_SHA256
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "--alpha", "quad:2,0,1", "--gamma", "dec:0.5@3000000",
+     "--i-range", "5:6"],
+    ["cf", "--alpha", "dec:1e999999999@3", "-K", "2"],
+    ["cf", "--alpha", "dec:1.41e-131073@3", "-K", "2"],
+])
+def test_dec_bodies_past_the_digit_bound_are_parse_errors(args, capsys):
+    # Each asks for millions of digits in a few characters of text.
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        code, out, err = run(args, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert "131072" in err
 
 
 def test_io_error_exits_5(tmp_path, capsys):

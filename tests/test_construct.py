@@ -14,8 +14,8 @@ from ostro.construct import (ApproxPair, GenericGamma, LatticeGamma,
                              construct_sweep, cross_term, gamma_value,
                              is_zero_gamma, n0_growth_check, parse_gamma_spec,
                              shifted_pair)
-from ostro.errors import (DomainError, FactorBudgetError, PrecisionError,
-                          SearchCapError, SpecParseError)
+from ostro.errors import (CheckFailedError, DomainError, FactorBudgetError,
+                          PrecisionError, SearchCapError, SpecParseError)
 from ostro.numtheory import omega
 from ostro.ostrowski import ostrowski_real
 from ostro.validated import ValidatedReal
@@ -340,6 +340,29 @@ def test_search_caps_exhaustion_reports():
         construct_coprime_approx(GOLDEN, gamma, 5, caps=SearchCaps(max_b=1))
     res = construct_sweep(GOLDEN, gamma, [5], caps=SearchCaps(max_b=1))
     assert isinstance(res[0][1], SearchCapError)
+
+
+def _planted_fault(query):
+    raise ZeroDivisionError("planted fault")
+
+
+def test_sweep_lets_a_fault_propagate(monkeypatch):
+    # Only typed errors become rows; anything else is a program fault.
+    monkeypatch.setattr(construct, "find_coprime_shift", _planted_fault)
+    with pytest.raises(ZeroDivisionError, match="planted fault"):
+        construct_sweep(SQRT2, parse_gamma_spec("rat:1/3"), range(5, 7))
+
+
+def test_cross_term_check_is_a_typed_error(monkeypatch):
+    # N_i(a) must equal n_a p_i - m_a q_i; the check survives python -O.
+    real = construct.cross_term
+    monkeypatch.setattr(construct, "cross_term",
+                        lambda base, cf, a: real(base, cf, a) + 1)
+    gamma = parse_gamma_spec("rat:1/3")
+    with pytest.raises(CheckFailedError, match="cross term"):
+        construct_coprime_approx(SQRT2, gamma, 5)
+    [(_, res)] = construct_sweep(SQRT2, gamma, [5])
+    assert isinstance(res, CheckFailedError)
 
 
 def test_cap_used_is_the_first_schedule_cap_clipped_to_max_b():
