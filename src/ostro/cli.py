@@ -33,14 +33,25 @@ CONSTRUCT_HEADER = "i,a,b,m,n,err_hi,quality,omega_Nia,A_used"
 
 def format_sci(x: Fraction, sig: int, rounding: str) -> str:
     """Fraction as `sig` significant digits, `d.ddd...e<exp>`, rounded
-    toward -inf ("floor") or +inf ("ceil") by one exact `decimal` division,
-    at any size."""
+    toward -inf ("floor") or +inf ("ceil"), at any size.
+
+    s is chosen from the bit lengths so that f = floor(x * 10^s) has at
+    least sig + 1 digits; with r the remainder, `decimal` rounds
+    (10*f + (r != 0)) * 10^-(s+1) once.  That value and x lie in
+    [f, f + 1) * 10^-s, which holds no `sig`-digit number inside it, so
+    they round alike."""
     if x == 0:
         return "0"
     mode = decimal.ROUND_FLOOR if rounding == "floor" else decimal.ROUND_CEILING
     ctx = decimal.Context(prec=sig, rounding=mode, Emin=decimal.MIN_EMIN,
                           Emax=decimal.MAX_EMAX)
-    q = ctx.divide(decimal.Decimal(x.numerator), x.denominator)
+    n, d = x.numerator, x.denominator
+    t = n.bit_length() - d.bit_length() - 1  # |x| > 2^t
+    # k <= t*log10(2), from a bound on log10(2) below or above it.
+    k = t * (30102999566 if t >= 0 else 30102999567) // 10**11
+    s = sig - k  # so |x| * 10^s > 10^sig
+    f, r = divmod(n * 10**s, d) if s >= 0 else divmod(n, d * 10**-s)
+    q = decimal.Decimal(10 * f + (r != 0)).scaleb(-(s + 1), ctx)
     e = q.adjusted()
     # q has at most `sig` digits: the shift to a `sig`-digit integer is exact.
     digits = str(abs(int(q.scaleb(sig - 1 - e, ctx))))

@@ -58,21 +58,27 @@ def _last_convergents(quots: list[int]) -> tuple[int, int, int, int]:
 
 
 def _certify(center: Fraction, lo: Fraction, hi: Fraction) -> list[int]:
-    """Quotients shared by every real in [lo, hi] around `center`."""
+    """Quotients shared by every real in [lo, hi] around `center`.
+
+    The loop runs on (numerator, denominator) pairs: a Euclid step keeps
+    each pair in lowest terms, so no gcd is taken."""
+    cn, cd = center.numerator, center.denominator
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     quots: list[int] = []
     while True:
-        if center.denominator == 1:
+        if cd == 1:
             # The literal itself terminates here: indistinguishable
             # from a rational at the stated precision.
             raise RationalInputError("rational input")
-        a = center.numerator // center.denominator
-        if not (a <= lo and hi < a + 1):
+        a = cn // cd
+        if not (a * ld <= ln and hn < (a + 1) * hd):
             break
         quots.append(a)
-        if lo == a:
+        if ln == a * ld:
             break
-        center = 1 / (center - a)
-        lo, hi = 1 / (hi - a), 1 / (lo - a)
+        # center, lo, hi <- 1/(center - a), 1/(hi - a), 1/(lo - a).
+        cn, cd = cd, cn - a * cd
+        ln, ld, hn, hd = hd, hn - a * hd, ld, ln - a * ld
     if not quots:
         raise PrecisionError(
             "precision exhausted: not even a_0 is certified")

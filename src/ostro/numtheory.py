@@ -220,6 +220,12 @@ def _cofactor(rem: int, bound: int) -> list[tuple[int, int]] | None:
         f"factor budget exceeded: cofactor {rem} is undecided")
 
 
+def _cofactor_omega(rem: int, bound: int) -> int:
+    """omega(rem) for rem >= 1 with no prime factor <= bound."""
+    tail = _cofactor(rem, bound)
+    return 2 if tail is None else len(tail)
+
+
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Full factorization within the trial budget.
 
@@ -245,8 +251,7 @@ def omega(n: int, budget: int | None = None) -> int:
     b = budget if budget is not None else DEFAULT_FACTOR_BUDGET
     bound = min(b, _icbrt_ceil(n))
     factors, rem = _trial_division(n, bound)
-    tail = _cofactor(rem, bound)
-    return len(factors) + (2 if tail is None else len(tail))
+    return len(factors) + _cofactor_omega(rem, bound)
 
 
 def mobius(n: int, budget: int | None = None) -> int:
@@ -302,9 +307,9 @@ class OmegaWindow(Sequence[int]):
     """Read-only omega(n) for n in [lo, hi]; see omega_window.
 
     Entry k is small[k] + omega(rem[k]), where small[k] counts the sieved
-    primes dividing lo + k and rem[k] is what they leave.  A cofactor
-    rem[k] >= (bound + 1)**2 is settled (and cached) on first read, so
-    its FactorBudgetError, if any, is raised only then.
+    primes dividing lo + k and rem[k] is what they leave.  An entry is
+    settled (and cached) on first read, so the FactorBudgetError of a
+    cofactor, if any, is raised only then.
     """
 
     def __init__(self, small: list[int], rem: list[int], bound: int):
@@ -320,12 +325,7 @@ class OmegaWindow(Sequence[int]):
         k = range(len(self))[key]  # normalizes and bounds-checks key
         value = self._settled[k]
         if value is None:
-            v = self._rem[k]
-            if v < (self._bound + 1) ** 2:
-                value = self._small[k] + (v > 1)
-            else:
-                tail = _cofactor(v, self._bound)
-                value = self._small[k] + (2 if tail is None else len(tail))
+            value = self._small[k] + _cofactor_omega(self._rem[k], self._bound)
             self._settled[k] = value
         return value
 

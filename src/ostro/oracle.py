@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .confrac import ContinuedFraction
 from .errors import SearchCapError
-from .quadratic import QuadExt
 from .validated import ValidatedReal
 
 _SIDE_SCAN_CAP = 10**4
@@ -38,14 +37,13 @@ def approx_error(cf: ContinuedFraction, gamma, m: int, n: int) -> ValidatedReal:
 
 
 def _target(cf: ContinuedFraction, gamma: ValidatedReal):
-    """(alpha, gamma) as same-field exact values when both are exact, so
-    that t = alpha*n - gamma is a QuadExt; (cf.alpha(), gamma) otherwise."""
-    alpha_q = cf.alpha_exact()
-    ex = gamma.exact
-    if alpha_q is not None and ex is not None and (
-            not isinstance(ex, QuadExt) or ex.d == alpha_q.d):
-        return alpha_q, ex
-    return cf.alpha(), gamma
+    """(alpha, gamma) as exact values when alpha - gamma is exact (one
+    field), so that t = alpha*n - gamma is a QuadExt; (cf.alpha(), gamma)
+    otherwise."""
+    alpha = cf.alpha()
+    if (alpha - gamma).exact is not None:
+        return alpha.exact, gamma.exact
+    return alpha, gamma
 
 
 def _nearest_coprime(start: int, step: int, n: int) -> int:

@@ -52,7 +52,6 @@ def ostrowski_int(cf: ContinuedFraction, n: int) -> IntOstrowski:
     for k in range(m, -1, -1):
         qk = cf.convergent(k).q
         coeffs[k], rem = divmod(rem, qk)
-    assert rem == 0
     exp = IntOstrowski(tuple(coeffs), m)
     validate_int_expansion(exp, cf)
     return exp

@@ -61,14 +61,6 @@ class QuadExt:
 
     # -- structure ---------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise DomainError("value is irrational")
-        return Fraction(self.a, self.c)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadExt):
             if other.d != self.d:

@@ -17,7 +17,7 @@ size of the value, so a tiny value keeps its digits.  A chain of k nodes
 costs O(k) evaluations per doubling.  An exact leaf is enclosed only when
 an endpoint is read or an interval operand needs it, first to width 2^-64
 relative to its size; arithmetic between exact values stays in closed
-form and never builds an interval.
+form and never builds an interval unless the values lie in two fields.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ def _exact_sign(value: Exact) -> int:
     if isinstance(value, QuadExt):
         return value.sign()
     return (value > 0) - (value < 0)
-
-
-def _exact_combine(op: str, a: Exact, b: Exact):
-    """Closed-form result of a binary op, or None when fields are mixed."""
-    if isinstance(a, QuadExt) and isinstance(b, QuadExt) and a.d != b.d:
-        return None
-    return _OPS[op](a, b)
 
 
 def _apply(op: str, x: Enclosure, y: Optional[Enclosure] = None) -> Enclosure:
@@ -157,30 +150,33 @@ class ValidatedReal:
 
     @classmethod
     def exact_rational(cls, value) -> "ValidatedReal":
-        return cls._leaf(Fraction(value))
+        return cls.wrap(Fraction(value))
 
     @classmethod
     def from_quadratic(cls, value: QuadExt) -> "ValidatedReal":
-        if value.is_rational():
-            return cls.exact_rational(value.as_fraction())
-        return cls._leaf(value)
+        return cls.wrap(value)
 
     @classmethod
     def wrap(cls, value) -> "ValidatedReal":
+        """value as a validated real, the one way to build an exact leaf.
+
+        A ValidatedReal is returned as it is.  An int, or a QuadExt with
+        no sqrt(d) part, becomes an exact Fraction leaf; an irrational
+        QuadExt stays one and is enclosed on first read, by _start.
+        Anything else raises TypeError.
+        """
         if isinstance(value, ValidatedReal):
             return value
         if isinstance(value, QuadExt):
-            return cls.from_quadratic(value)
-        if isinstance(value, (int, Fraction)):
-            return cls.exact_rational(value)
-        raise TypeError(f"cannot interpret {value!r} as a validated real")
-
-    @classmethod
-    def _leaf(cls, value: Exact) -> "ValidatedReal":
+            if value.b == 0:
+                value = Fraction(value.a, value.c)
+        elif isinstance(value, int):
+            value = Fraction(value)
+        elif not isinstance(value, Fraction):
+            raise TypeError(f"cannot interpret {value!r} as a validated real")
         leaf = cls.__new__(cls)
         leaf._exact, leaf._op, leaf._args = value, None, ()
         leaf._refinable = isinstance(value, QuadExt)
-        # An irrational leaf is enclosed on first read, by _start.
         leaf._cache = None if leaf._refinable else (_START_BITS, value, value)
         return leaf
 
@@ -284,11 +280,12 @@ class ValidatedReal:
 
     def _cmp_pair(self, other: "ValidatedReal", strict: bool) -> bool:
         """Certified (self < other) when strict, else (self <= other)."""
-        if self._exact is not None and other._exact is not None:
-            d = _exact_combine("sub", self._exact, other._exact)
-            if d is not None:
-                s = _exact_sign(d)
-                return s < 0 if strict else s <= 0
+        a, b = self._exact, other._exact
+        if a is not None and b is not None:
+            try:
+                return a < b if strict else a <= b
+            except DomainError:  # two quadratic fields: decide on intervals
+                pass
         return _decide((self, other), _lt if strict else _le, "comparison")
 
     def __lt__(self, other):
@@ -317,9 +314,10 @@ class ValidatedReal:
 
     def _binary(self, other: "ValidatedReal", op: str) -> "ValidatedReal":
         if self._exact is not None and other._exact is not None:
-            ex = _exact_combine(op, self._exact, other._exact)
-            if ex is not None:
-                return ValidatedReal.wrap(ex)
+            try:
+                return ValidatedReal.wrap(_OPS[op](self._exact, other._exact))
+            except DomainError:  # two quadratic fields: build a node
+                pass
         divisor = other._start()
         if op == "div" and divisor[0] <= 0 <= divisor[1]:
             divisor = _decide((other,), _nonzero, "divisor sign")
@@ -358,7 +356,5 @@ class ValidatedReal:
 
     def __abs__(self):
         if self._exact is not None:
-            ex = self._exact
-            s = _exact_sign(ex)
-            return ValidatedReal.wrap(-ex if s < 0 else ex)
+            return ValidatedReal.wrap(abs(self._exact))
         return ValidatedReal._node("abs", (self,), *_apply("abs", self._start()))

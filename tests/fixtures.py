@@ -1,8 +1,9 @@
 """Constants measured once with the independent oracles and frozen.
 
 Regenerating: each value's provenance is the test that asserts it; the
-oracle code lives in the package (hybrid prime sums, 50-digit decimal
-evaluation, exhaustive scans) and reproduces these numbers exactly.
+oracle code reproduces these numbers exactly.  The hybrid prime sums
+live in tests/test_numtheory.py, the 50-digit decimal evaluation in
+tests/test_coprimesearch.py, and the exhaustive scans in the package.
 """
 
 # (sum of 1/p over p <= 1e6) / lnln(1e6), hybrid exact/fixed-point sum.

@@ -485,3 +485,27 @@ def test_unknown_verb_and_missing_args_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["cf", "--alpha", "quad:2,0,1"]) == 2  # missing -K
     capsys.readouterr()
+
+
+def test_format_sci_of_a_131072_digit_operand():
+    # An endpoint of a dec: value at the largest precision accepted.
+    x = Fraction(10**131072 // 3, 10**131072)
+    assert format_sci(x, 30, "floor") == "3.33333333333333333333333333333e-1"
+    assert format_sci(x, 30, "ceil") == "3.33333333333333333333333333334e-1"
+    assert format_sci(-x, 5, "floor") == "-3.3334e-1"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["construct", "--alpha", "quad:2,0,1", "--gamma", "rat:1/3",
+      "--i-range", "5"], "bad index range"),
+    (["construct", "--alpha", "quad:2,0,1", "--gamma", "rat:1/3",
+      "--i-range", "7:5"], "empty index range"),
+    (["cf", "--alpha", "quad:2,0,1", "-K", "-1"], "terms must be >= 0"),
+    (["oracle", "--alpha", "quad:2,0,1", "--gamma", "rat:1/3",
+      "--n-max", "0"], "n-max must be >= 1"),
+])
+def test_refused_counts_and_ranges_exit_2(args, message, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -4,11 +4,12 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ostro.confrac import (_last_convergents, cf_from_decimal,
-                           cf_from_quadratic, cf_from_terms, parse_alpha_spec)
+from ostro.confrac import (_certify, _last_convergents, cf_from_decimal,
+                           cf_from_quadratic, cf_from_terms, decimal_bracket,
+                           parse_alpha_spec)
 from ostro.errors import (DomainError, PrecisionError, RationalInputError,
                           SpecParseError)
 from ostro.quadratic import QuadExt
@@ -242,3 +243,55 @@ def test_concurrent_readers_grow_one_cache():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert [c.k for c in cf.convergents(K)] == list(range(K + 1))
+
+
+def _certify_reference(center, lo, hi):
+    """_certify as first written: the loop in Fraction arithmetic."""
+    quots = []
+    while True:
+        if center.denominator == 1:
+            raise RationalInputError("rational input")
+        a = center.numerator // center.denominator
+        if not (a <= lo and hi < a + 1):
+            break
+        quots.append(a)
+        if lo == a:
+            break
+        center = 1 / (center - a)
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+    if not quots:
+        raise PrecisionError("precision exhausted: not even a_0 is certified")
+    return quots
+
+
+def _outcome(certify, bracket):
+    try:
+        return certify(*bracket)
+    except (RationalInputError, PrecisionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _brackets(draw):
+    """(center, lo, hi): a `dec:` body, or any lo <= center <= hi."""
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from(["", "-"]))
+        whole = draw(st.integers(0, 10**6))
+        # No fraction digits, or fewer than the precision: the literal
+        # terminates inside its own bracket.
+        frac = draw(st.text("0123456789", max_size=40))
+        prec = draw(st.integers(1, 45))
+        literal = f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+        return decimal_bracket(f"{literal}@{prec}")
+    lo, center, hi = sorted(draw(st.lists(
+        st.fractions(max_denominator=10**12), min_size=3, max_size=3)))
+    return center, lo, hi
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_brackets())
+@example(decimal_bracket("1.5@5"))  # terminates: rational input
+@example(decimal_bracket("0.99@1"))  # certifies nothing
+@example(decimal_bracket("1.41421356237309504880@20"))
+def test_certify_matches_the_fraction_loop(bracket):
+    assert _outcome(_certify, bracket) == _outcome(_certify_reference, bracket)

@@ -267,3 +267,21 @@ def test_first_enclosure_is_relative_to_the_value():
     d59 = abs(parse_alpha_spec("quad:2,0,1").d_value(59))
     assert d59.width() <= d59.lo * Fraction(1, 2**64)
     assert abs(float(d59) / 1.0800873502109327e-23 - 1) < 1e-15
+
+
+def test_interval_endpoints_out_of_order_are_refused():
+    with pytest.raises(DomainError):
+        ValidatedReal(2, 1)
+
+
+def test_wrap_builds_exact_leaves_and_refuses_other_types():
+    rational = ValidatedReal.wrap(QuadExt(2, 3, 0))
+    assert type(rational.exact) is Fraction and rational.exact == Fraction(3)
+    assert rational.width() == 0
+    sqrt2 = QuadExt(2, 0, 1)
+    assert ValidatedReal.wrap(sqrt2).exact is sqrt2
+    assert ValidatedReal.wrap(7).exact == Fraction(7)
+    v = ValidatedReal(0, 1)
+    assert ValidatedReal.wrap(v) is v
+    with pytest.raises(TypeError):
+        ValidatedReal.wrap("1/3")
