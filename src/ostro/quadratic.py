@@ -186,14 +186,7 @@ class QuadExt:
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        if self.b == 0:
-            return self.a // self.c
-        # b*sqrt(d) is never an integer: write it as fb + theta with
-        # theta in (0, 1); theta cannot move the floor of (a + fb)/c.
-        fb = isqrt(self.b * self.b * self.d)
-        if self.b < 0:
-            fb = -fb - 1
-        return (self.a + fb) // self.c
+        return _floor(self.a, self.b, self.c, self.d)
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -252,3 +245,15 @@ def _sign(a: int, b: int, d: int) -> int:
         return sa
     # Opposite signs: a^2 = b^2 d would make sqrt(d) rational.
     return sa if a * a > b * b * d else sb
+
+
+def _floor(a: int, b: int, c: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(d)) / c, for c > 0."""
+    if b == 0:
+        return a // c
+    # b*sqrt(d) is never an integer: write it as fb + theta with
+    # theta in (0, 1); theta cannot move the floor of (a + fb)/c.
+    fb = isqrt(b * b * d)
+    if b < 0:
+        fb = -fb - 1
+    return (a + fb) // c

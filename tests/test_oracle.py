@@ -2,9 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ostro import oracle
 from ostro.confrac import cf_from_quadratic
 from ostro.construct import construct_sweep, parse_gamma_spec, ApproxPair
+from ostro.errors import SearchCapError
 from ostro.oracle import (approx_error, best_coprime_approx, best_coprime_at)
 from ostro.quadratic import QuadExt
 from ostro.validated import ValidatedReal
@@ -119,3 +123,97 @@ def test_determinism_under_refinement():
     assert [(r.n, r.m) for r in recs10] == [(r.n, r.m) for r in recs14]
     exact = best_coprime_approx(SQRT2, Fraction(1, 3), 120)
     assert [(r.n, r.m) for r in recs10] == [(r.n, r.m) for r in exact]
+
+
+def _best_reference(t, n):
+    """The coprime m nearest to the QuadExt t and its error, as the
+    oracle first computed them: abs(t - m) on each side."""
+    left = t.floor()
+    right = left + 1
+    while math.gcd(left, n) != 1:
+        left -= 1
+    while math.gcd(right, n) != 1:
+        right += 1
+    e_left, e_right = abs(t - left), abs(t - right)
+    if e_right < e_left:
+        return right, e_right
+    return left, e_left
+
+
+def _records_reference(alpha, gamma, n_max):
+    """The oracle's record scan as first written, in QuadExt arithmetic:
+    t = alpha*n - gamma at every n, and a record when err < best."""
+    records = []
+    best = None
+    for n in range(1, n_max + 1):
+        m, err = _best_reference(alpha * n - gamma, n)
+        if best is None or err < best:
+            best = err
+            records.append((n, m, ValidatedReal.wrap(err).exact))
+    return records
+
+
+_NONSQUARES = [d for d in range(2, 201) if math.isqrt(d) ** 2 != d]
+
+
+@st.composite
+def _scans(draw):
+    """(cf, gamma, n_max, ns): alpha = (p + sqrt d)/q, and gamma rational,
+    in the field, on the lattice, or on the lattice plus 1/2 (exact ties
+    at n = l)."""
+    d = draw(st.sampled_from(_NONSQUARES))
+    cf = cf_from_quadratic(d, draw(st.integers(-50, 50)),
+                           draw(st.integers(-12, 12).filter(bool)))
+    alpha = cf.alpha().exact
+    frac = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    kind = draw(st.sampled_from(["rational", "field", "lattice", "tie"]))
+    if kind == "rational":
+        gamma = draw(frac)
+    elif kind == "field":
+        gamma = QuadExt(d, draw(frac), draw(frac))
+    else:
+        shift = draw(st.integers(-5, 5)) if kind == "lattice" else Fraction(1, 2)
+        gamma = alpha * draw(st.integers(-5, 10)) + shift
+    n_max = draw(st.integers(1, 300))
+    ns = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=4))
+    return cf, gamma, n_max, ns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scans())
+@example((SQRT2, SQRT2.alpha().exact * 4 + Fraction(1, 2), 40, [4]))  # tie
+def test_integer_scan_matches_the_quadext_loop(scan):
+    cf, gamma, n_max, ns = scan
+    alpha = cf.alpha().exact
+    assert ([(r.n, r.m, r.err.exact) for r in best_coprime_approx(
+        cf, gamma, n_max)] == _records_reference(alpha, gamma, n_max))
+    for n in ns:
+        m, err = best_coprime_at(cf, gamma, n)
+        ref_m, ref_err = _best_reference(alpha * n - gamma, n)
+        assert (m, err.exact) == (ref_m, ValidatedReal.wrap(ref_err).exact)
+
+
+def test_exact_tie_goes_to_the_smaller_m():
+    # t_1 = sqrt(2) - (1/2 + sqrt(2)) = -1/2, halfway between -1 and 0.
+    m, err = best_coprime_at(SQRT2, QuadExt(2, Fraction(1, 2), 1), 1)
+    assert (m, err.exact) == (-1, Fraction(1, 2))
+
+
+def test_a_row_without_a_sqrt_d_part():
+    # gamma = 3*sqrt(2) + 1/3, so t_3 = -1/3 is rational.
+    gamma = QuadExt(2, Fraction(1, 3), 3)
+    recs = best_coprime_approx(SQRT2, gamma, 10)
+    assert ([(r.n, r.m, r.err.exact) for r in recs]
+            == _records_reference(SQRT2.alpha().exact, gamma, 10))
+    # 0 shares the factor 3 with n = 3, so -1 is the nearest coprime m.
+    m, err = best_coprime_at(SQRT2, gamma, 3)
+    assert (m, err.exact) == (-1, Fraction(2, 3))
+
+
+def test_side_scan_cap_raises_a_typed_error(monkeypatch):
+    # t_6 = 6*sqrt(2) - 1/3 has floor 8, which shares a factor with 6.
+    monkeypatch.setattr(oracle, "_SIDE_SCAN_CAP", 1)
+    with pytest.raises(SearchCapError):
+        best_coprime_at(SQRT2, Fraction(1, 3), 6)
+    with pytest.raises(SearchCapError):
+        best_coprime_approx(SQRT2, Fraction(1, 3), 6)
